@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cobra/internal/serve"
@@ -101,15 +102,57 @@ func TestStratified(t *testing.T) {
 
 func TestTenantSequenceSwitchCount(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		seq := tenantSequence(rand.New(rand.NewPCG(seed, 0)), 64, 3)
+		seq := tenantSequence(rand.New(rand.NewPCG(seed, 0)), 63, 3)
 		switches := 0
-		for i := 1; i < len(seq); i++ {
-			if seq[i] != seq[i-1] {
+		var count [3]int
+		for i := range seq {
+			count[seq[i]]++
+			if i > 0 && seq[i] != seq[i-1] {
 				switches++
 			}
 		}
-		if switches != 63*2/3 {
-			t.Fatalf("seed %d: %d tenant switches, want %d", seed, switches, 63*2/3)
+		if switches != 62*2/3 {
+			t.Fatalf("seed %d: %d tenant switches, want %d", seed, switches, 62*2/3)
+		}
+		if count != [3]int{21, 21, 21} {
+			t.Fatalf("seed %d: %v requests per tenant, want 21 each", seed, count)
+		}
+	}
+}
+
+// TestSizesStratifiedPerClass checks that each class of a workload's
+// requests (mode on bulk, tenant on multi-tenant, direction on
+// cbc-duplex) gets nearly the same payload for every seed.
+func TestSizesStratifiedPerClass(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		class    func(r *request) int
+	}{
+		{"bulk", func(r *request) int { return int(r.mode) }},
+		{"multi-tenant", func(r *request) int { return r.tenant }},
+		{"cbc-duplex", func(r *request) int { return int(r.op) }},
+	} {
+		w, err := workloadByName(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals := map[int][]int{}
+		for seed := uint64(1); seed <= 10; seed++ {
+			// The streams alone, without their reference outputs.
+			tenants := w.tenants(rngFor(w, seed, "tenants"))
+			per := map[int]int{}
+			for _, r := range w.gen(rngFor(w, seed, "client-0"), 0, tenants, w.pass) {
+				per[tc.class(&r)] += len(r.data)
+			}
+			for c, b := range per {
+				totals[c] = append(totals[c], b)
+			}
+		}
+		for c, v := range totals {
+			lo, hi := slices.Min(v), slices.Max(v)
+			if float64(hi-lo) > 0.05*float64(hi) {
+				t.Errorf("%s class %d: payload per pass ranges %d-%d bytes over seeds", tc.workload, c, lo, hi)
+			}
 		}
 	}
 }

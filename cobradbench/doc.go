@@ -28,9 +28,14 @@
 // function of (workload, seed, client index), and cobrad receives only
 // the generated requests. Seed 1 is the default for development; seed
 // 20261017 is held out for checking a claimed gain on inputs it was not
-// tuned on. Request sizes are stratified over each workload's range, so
-// every seed sends the same size distribution and only order, keys and
-// contents change.
+// tuned on. Request sizes are stratified over each workload's range,
+// separately for each class of request (mode on bulk, tenant on
+// multi-tenant, direction on cbc-duplex), and multi-tenant sends each
+// tenant a third of its requests, so every seed sends the same mix and
+// only order, keys and contents change. Left to the seed, a tenant's
+// share of multi-tenant's requests ranged from a fifth to nearly a half,
+// and of ten seeds the one that sent RC6 the fewest ran fastest in each
+// of two sets of runs.
 //
 // # Workloads
 //
@@ -53,8 +58,9 @@
 //     negligible serve share.
 //   - multi-tenant (cobrad -backend farm -workers 2): the
 //     BENCH_farm.json tenant set (Rijndael key A, Rijndael key B =
-//     A^0x5A, RC6 key A^0xA5, full unroll) drawn per request, two in
-//     three consecutive requests switching tenant; 1-4 KiB CTR; a client
+//     A^0x5A, RC6 key A^0xA5, full unroll) drawn per request, each a
+//     third of the requests, two in three consecutive requests
+//     switching tenant; 1-4 KiB CTR; a client
 //     re-CONFIGUREs (a backend-LRU hit) when the tenant changes. Three
 //     (program, key) pairs contend for two workers, and each worker
 //     rebind re-runs core.Configure and Program.Compile. The only
@@ -70,27 +76,40 @@
 // BENCHMARK.json gates on bulk, multi-tenant and cbc-duplex. small-ctr
 // runs and traces like the others, and the layer predictions use it, but
 // it is not gated: with wakeups between processes on every request, its
-// throughput and p50 moved by 24-25% (interquartile range over the
-// median) across ten consecutive runs on the two-vCPU VM it was sized
-// on, while a CPU-bound reference loop stayed flat: as wide as the
-// widest bound a gated metric may have.
+// throughput moved by 31% (interquartile range over the median) across
+// five consecutive 20 s runs on the two-vCPU VM it was sized on, wider
+// than the widest bound a gated metric may have.
 //
 // # Run structure
 //
-// A run spreads its --seconds over ten cobrad processes. Each is timed
-// from exec through warm-up (listening, every tenant CONFIGUREd, each
-// request class served twice per client so worker devices and decrypt
-// datapaths are built), then measured for a tenth of the window. One
-// process can settle into a faster or slower schedule for its whole
-// life, so each end-to-end metric is the median over the ten. The first
-// process also runs the fixed slice before its window: one pass of each
-// client's stream, the same requests on every run and every commit, over
-// which the simulated counters are read, so they repeat exactly.
+// A run starts cobrad five times. Each daemon is timed from exec
+// through warm-up (listening, every tenant CONFIGUREd, each request class
+// served twice per client so worker devices and decrypt datapaths are
+// built) and then runs the fixed slice: one pass of each client's
+// stream, the same requests on every run and every commit, over which
+// the simulated counters are read, so they repeat exactly. setup_s and
+// peak_rss_MiB are the medians over the five: one set-up takes tens of
+// milliseconds and moves with the host's scheduling, and a farm daemon's
+// high-water mark depends on where its garbage collections fall. The
+// first four daemons are then stopped; the fifth runs the whole
+// --seconds window in one stretch, which every other end-to-end metric
+// comes from.
+//
+// One long window rather than several short ones on fresh daemons:
+// splitting the window over ten daemons and taking medians was no
+// steadier in alternating runs (req/s spread 12.6% against 8.7% for one
+// window on bulk, 14.8% against 16.1% on multi-tenant, five pairs each),
+// and a warm daemon shows no consistent ramp (in three 20 s bulk windows
+// the first two seconds ran 14% slower, 23% faster and 10% slower than
+// the window as a whole). What moves is the host: a two-thread loop of
+// Exec.EncryptInto with no daemon and no sockets ran between 410 and 680
+// thousand Rijndael blocks per second in one-second samples on the
+// two-vCPU VM the benchmark was sized on.
 //
 // # End-to-end metrics
 //
 //	name                  unit      better  source
-//	req_per_s             req/s     higher  verified responses ÷ wall time of a process's window
+//	req_per_s             req/s     higher  verified responses ÷ wall time of the window
 //	goodput_MBps          MB/s      higher  verified request payload bytes ÷ wall time
 //	lat_p50_ms            ms        lower   client-side send-to-response median, including the
 //	                                        re-CONFIGURE round trip when a tenant switch precedes
@@ -98,8 +117,8 @@
 //	error_rate            fraction  lower   (ERROR + BUSY + transport failures + responses that
 //	                                        differ from the reference) ÷ requests attempted
 //	setup_s               s         lower   cobrad exec to the end of warm-up
-//	peak_rss_MiB          MiB       lower   cobrad's VmHWM (/proc/<pid>/status) at the end of
-//	                                        its window: the daemon only, never the load generator
+//	peak_rss_MiB          MiB       lower   cobrad's VmHWM (/proc/<pid>/status) after the fixed
+//	                                        slice: the daemon only, never the load generator
 //	sim_cycles_per_block  cycles    lower   Σcobra_device_cycles_total ÷ Σcobra_device_blocks_out_total
 //	                                        over the fixed slice, from cobrad's /metrics: the
 //	                                        paper's simulated metric; a host-only change must
@@ -211,6 +230,14 @@
 //     rebind re-runs the configuration phase on the interpreter, and how
 //     many happen is up to the host's scheduling. On multi-tenant the
 //     repeat check compares every other simulated counter.
+//   - The host's speed drifts over minutes, not only seconds, and the
+//     benchmark cannot take that out: with the same code and seeds,
+//     cbc-duplex's median over ten runs read 797 req/s in one set and
+//     700 in the next, ten minutes later. In slow stretches of
+//     multi-tenant both farm workers stay 93-95% busy while completed
+//     requests per second fall by up to half and reconfigurations per
+//     request do not rise, so the drift is the host's and not the farm's
+//     schedule. Compare a change with its parent in alternating runs.
 //   - The layer table's worker and device rows are per-request means
 //     divided by the shards that ran side by side, an estimate of the
 //     blocking path rather than a per-request measurement.

@@ -50,7 +50,7 @@ func main() {
 	cfg := runConfig{w: w, seed: *seed, seconds: *seconds, trace: *trace == 1,
 		cobrad: *cobrad, outDir: *outDir, daemons: daemonsPerRun}
 	if cfg.trace {
-		cfg.daemons = 1 // tracing overhead is measured on one daemon
+		cfg.daemons = 1 // the per-layer metrics need no set-up medians
 	}
 	if *repeat > 0 {
 		if err := repeatRuns(cfg, *repeat, *sets); err != nil {
@@ -113,20 +113,18 @@ func report(out io.Writer, cfg runConfig, res *result) {
 		note := ""
 		switch m.name {
 		case "req_per_s":
-			note = "  (median over daemons of " + fmtFloats(res.perDaemon((*daemonRun).reqPerS)) + ")"
-		case "lat_p50_ms":
-			note = "  (" + fmtFloats(res.perDaemon(func(d *daemonRun) float64 { return d.P50Ms })) + ")"
-		case "peak_rss_MiB":
-			note = "  (" + fmtFloats(res.perDaemon(func(d *daemonRun) float64 { return d.PeakRSSMiB })) + ")"
+			note = fmt.Sprintf("  (%d verified in %.3f s)", res.Window.OK, res.WindowS)
 		case "lat_p99_ms":
 			note = fmt.Sprintf("  (not gated; %d samples)", len(res.LatNs))
 		case "setup_s":
-			note = "  (" + fmtFloats(res.perDaemon(func(d *daemonRun) float64 { return d.SetupS })) + ")"
+			note = "  (median of " + fmtFloats(res.SetupS) + ")"
+		case "peak_rss_MiB":
+			note = "  (median of " + fmtFloats(res.PeakRSSMiB) + ")"
 		case "error_rate":
 			note = fmt.Sprintf("  (%d failed of %d attempted: busy %d, error %d, transport %d, mismatch %d)",
 				t.failed(), t.Attempted, t.Busy, t.WireError, t.Transport, t.Mismatch)
 		case "sim_cycles_per_block":
-			note = fmt.Sprintf("  (over the fixed slice: %d requests)", res.SliceTally.Attempted)
+			note = fmt.Sprintf("  (over the fixed slice: %d requests)", clients*cfg.w.pass)
 		}
 		fmt.Fprintf(out, "  %-22s %14.6g %-8s%s\n", m.name, m.value, m.unit, note)
 	}

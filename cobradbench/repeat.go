@@ -94,7 +94,7 @@ func repeatRuns(cfg runConfig, n, sets int) error {
 		}
 		v := values[0][k]
 		q := quartiles(v)
-		med := median(v)
+		med := q[1]
 		spread := 0.0
 		if med != 0 {
 			spread = (q[2] - q[0]) / med
@@ -108,7 +108,7 @@ func repeatRuns(cfg runConfig, n, sets int) error {
 		}
 		fmt.Printf("%-30s %-8s %-6s %6.3g %12.6g %12.6g %12.6g %8.4f", k, units[k], better, bound, med, q[0], q[2], spread)
 		for s := 1; s < sets; s++ {
-			m := median(values[s][k])
+			m := quartiles(values[s][k])[1]
 			worse := 0.0
 			if med != 0 {
 				worse = (m - med) / med

@@ -44,105 +44,87 @@ type runConfig struct {
 	trace   bool
 	cobrad  string // the daemon binary
 	outDir  string // where the traced run's JSON goes
-	daemons int    // daemon processes sharing the window
+	daemons int    // daemons set up, each running the fixed slice; the last runs the window
 }
 
-// daemonsPerRun is how many daemon processes an untraced run spreads its
-// window over, each set up from exec and measured for its share. One
-// process can settle into a faster or slower schedule for its whole
-// life, so the end-to-end metrics are medians across processes.
-const daemonsPerRun = 10
-
-// daemonRun is what one daemon process measured.
-type daemonRun struct {
-	SetupS     float64
-	Window     tally
-	WindowS    float64
-	P50Ms      float64
-	P90Ms      float64
-	PeakRSSMiB float64
-}
-
-func (d *daemonRun) reqPerS() float64 { return float64(d.Window.OK) / d.WindowS }
-func (d *daemonRun) mbps() float64    { return float64(d.Window.Bytes) / d.WindowS / 1e6 }
+// daemonsPerRun is how many cobrad processes an untraced run sets up.
+// setup_s and peak_rss_MiB are medians over them: one set-up takes tens
+// of milliseconds and moves with the host's scheduling, and the
+// high-water mark of a farm daemon depends on where its garbage
+// collections fall.
+const daemonsPerRun = 5
 
 // result is one run's measurements.
 type result struct {
-	Daemons    []daemonRun
-	Slice      simCounters // over the fixed slice, on the first daemon
-	SliceTally tally
-	// SliceReconfigures is the farm rebinds during the slice. Each one
-	// re-runs the configuration phase on the interpreter, so sim_ticks
-	// repeat only when it is zero: how many rebinds happen is up to the
-	// host's scheduling.
+	SetupS     []float64   // exec to warm, per daemon
+	PeakRSSMiB []float64   // VmHWM after the fixed slice, per daemon
+	Slice      simCounters // over the last daemon's slice
+	SliceTally tally       // every daemon's slice
+	// SliceReconfigures is the farm rebinds during the last slice. Each
+	// one re-runs the configuration phase on the interpreter, so
+	// sim_ticks repeat only when it is zero: how many rebinds happen is
+	// up to the host's scheduling.
 	SliceReconfigures int64
-	LatNs             []int64 // every window latency, for the ungated p99
+	Window            tally
+	WindowS           float64
+	LatNs             []int64 // every window latency, sorted
 	Trace             *traceResult
 	// traced is the traced window (traced runs only).
 	traced *phase
 }
 
-// run measures the workload: per daemon process, set-up from exec to
-// warm, then (first daemon only) the fixed slice, then its share of the
-// window. A traced run uses one daemon and attributes the window to
-// layers.
-func run(cfg runConfig) (*result, error) {
+// run measures the workload. Each of cfg.daemons cobrad processes is
+// timed from exec to warm and then runs the fixed slice; the last one
+// goes on to run the whole window in one stretch, which every other
+// end-to-end metric comes from. A traced run also attributes the window
+// to layers.
+func run(cfg runConfig) (res *result, err error) {
 	in := generate(cfg.w, cfg.seed)
 	var warm [clients][]request
 	for c := range warm {
 		warm[c] = warmRequests(cfg.w, cfg.seed, c, in.tenants)
 	}
-	res := &result{}
-	share := time.Duration(cfg.seconds) * time.Second / time.Duration(cfg.daemons)
+	res = &result{}
+	var d *daemon
+	var ss []*session
+	stop := func() error {
+		closeSessions(ss)
+		ss = nil
+		err := d.stop()
+		d = nil
+		return err
+	}
+	defer func() {
+		if d != nil {
+			if serr := stop(); err == nil && serr != nil {
+				res, err = nil, serr
+			}
+		}
+	}()
 	for i := 0; i < cfg.daemons; i++ {
-		if err := measureDaemon(cfg, in, warm, share, i == 0, res); err != nil {
+		if d != nil {
+			if err := stop(); err != nil {
+				return nil, err
+			}
+		}
+		t0 := time.Now()
+		if d, err = startDaemon(cfg.cobrad, cfg.w.flags); err != nil {
+			return nil, err
+		}
+		if ss, err = dialSessions(d.addr, in.tenants); err != nil {
+			return nil, err
+		}
+		if err := warmUp(ss, warm); err != nil {
+			return nil, fmt.Errorf("warm-up: %w", err)
+		}
+		res.SetupS = append(res.SetupS, time.Since(t0).Seconds())
+		if err := runSlice(d, ss, in, res); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
-}
-
-func measureDaemon(cfg runConfig, in *inputs, warm [clients][]request, window time.Duration, first bool, res *result) (err error) {
-	t0 := time.Now()
-	d, err := startDaemon(cfg.cobrad, cfg.w.flags)
-	if err != nil {
-		return err
-	}
-	var ss []*session
-	defer func() {
-		closeSessions(ss)
-		if serr := d.stop(); err == nil {
-			err = serr
-		}
-	}()
-	if ss, err = dialSessions(d.addr, in.tenants); err != nil {
-		return err
-	}
-	if err := warmUp(ss, warm); err != nil {
-		return fmt.Errorf("warm-up: %w", err)
-	}
-	dr := daemonRun{SetupS: time.Since(t0).Seconds()}
-
-	if first {
-		// The fixed slice: the same requests on every run and every
-		// commit, so the simulated counters must repeat exactly.
-		before, err := d.scrape()
-		if err != nil {
-			return err
-		}
-		sp := runPhase(ss, in.streams, 0, false)
-		after, err := d.scrape()
-		if err != nil {
-			return err
-		}
-		sd := delta(before, after)
-		res.Slice = readSimCounters(sd)
-		res.SliceReconfigures = int64(sd.sum("cobra_farm_reconfigures_total"))
-		res.SliceTally = sp.total()
-	}
+	window := time.Duration(cfg.seconds) * time.Second
 	if window == 0 { // a slice-only run
-		res.Daemons = append(res.Daemons, dr)
-		return nil
+		return res, nil
 	}
 
 	var tr *traceCapture
@@ -152,37 +134,56 @@ func measureDaemon(cfg runConfig, in *inputs, warm [clients][]request, window ti
 		window /= 2
 		tr = &traceCapture{untraced: runPhase(ss, in.streams, window, false)}
 		if tr.before, tr.varsBefore, tr.memBefore, err = scrapeAll(d); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	p := runPhase(ss, in.streams, window, cfg.trace)
 	if tr != nil {
 		if tr.after, tr.varsAfter, tr.memAfter, err = scrapeAll(d); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if dr.PeakRSSMiB, err = d.peakRSSMiB(); err != nil {
-		return err
-	}
-	lat := p.latencies()
-	res.LatNs = append(res.LatNs, lat...)
-	slices.Sort(lat)
-	dr.Window, dr.WindowS = p.total(), p.wall.Seconds()
-	dr.P50Ms, dr.P90Ms = float64(percentile(lat, 0.5))/1e6, float64(percentile(lat, 0.9))/1e6
-	res.Daemons = append(res.Daemons, dr)
+	res.Window, res.WindowS = p.total(), p.wall.Seconds()
+	res.LatNs = p.latencies()
+	slices.Sort(res.LatNs)
 
 	if tr != nil {
 		// Replays run after the daemon is gone, so they load nothing
 		// but the benchmark's own process.
-		closeSessions(ss)
-		ss = nil
-		if err := d.stop(); err != nil {
-			return err
+		if err := stop(); err != nil {
+			return nil, err
 		}
 		res.traced = p
-		res.Trace, err = attribute(cfg, in, res, tr)
+		if res.Trace, err = attribute(cfg, in, res, tr); err != nil {
+			return nil, err
+		}
 	}
-	return err
+	return res, nil
+}
+
+// runSlice runs the fixed slice on a warm daemon: one pass of each
+// client's stream, the same requests on every run and every commit, so
+// the simulated counters must repeat exactly.
+func runSlice(d *daemon, ss []*session, in *inputs, res *result) error {
+	before, err := d.scrape()
+	if err != nil {
+		return err
+	}
+	p := runPhase(ss, in.streams, 0, false)
+	after, err := d.scrape()
+	if err != nil {
+		return err
+	}
+	rss, err := d.peakRSSMiB()
+	if err != nil {
+		return err
+	}
+	sd := delta(before, after)
+	res.Slice = readSimCounters(sd)
+	res.SliceReconfigures = int64(sd.sum("cobra_farm_reconfigures_total"))
+	res.SliceTally.add(p.total())
+	res.PeakRSSMiB = append(res.PeakRSSMiB, rss)
+	return nil
 }
 
 func scrapeAll(d *daemon) (metrics, json.RawMessage, memStats, error) {
@@ -194,19 +195,10 @@ func scrapeAll(d *daemon) (metrics, json.RawMessage, memStats, error) {
 	return m, raw, ms, err
 }
 
-// window is every daemon's window, summed.
-func (r *result) window() tally {
-	var t tally
-	for _, d := range r.Daemons {
-		t.add(d.Window)
-	}
-	return t
-}
-
-// total is every measured request: the slice and the windows.
+// total is every measured request: the slice and the window.
 func (r *result) total() tally {
 	t := r.SliceTally
-	t.add(r.window())
+	t.add(r.Window)
 	return t
 }
 
@@ -215,30 +207,19 @@ func (r *result) errorRate() float64 {
 	return float64(t.failed()) / float64(t.Attempted)
 }
 
-// perDaemon collects one measurement from every daemon.
-func (r *result) perDaemon(f func(*daemonRun) float64) []float64 {
-	var v []float64
-	for i := range r.Daemons {
-		v = append(v, f(&r.Daemons[i]))
-	}
-	return v
-}
-
 // endToEnd computes the eight end-to-end metrics (plus the ungated p99).
 func (r *result) endToEnd() []metric {
-	med := func(f func(*daemonRun) float64) float64 { return median(r.perDaemon(f)) }
-	lat := slices.Clone(r.LatNs)
-	slices.Sort(lat)
+	ms := func(q float64) float64 { return float64(percentile(r.LatNs, q)) / 1e6 }
 	return []metric{
-		{"req_per_s", med((*daemonRun).reqPerS), "req/s"},
-		{"goodput_MBps", med((*daemonRun).mbps), "MB/s"},
-		{"lat_p50_ms", med(func(d *daemonRun) float64 { return d.P50Ms }), "ms"},
-		{"lat_p90_ms", med(func(d *daemonRun) float64 { return d.P90Ms }), "ms"},
+		{"req_per_s", float64(r.Window.OK) / r.WindowS, "req/s"},
+		{"goodput_MBps", float64(r.Window.Bytes) / r.WindowS / 1e6, "MB/s"},
+		{"lat_p50_ms", ms(0.5), "ms"},
+		{"lat_p90_ms", ms(0.9), "ms"},
 		{"error_rate", r.errorRate(), "fraction"},
-		{"setup_s", med(func(d *daemonRun) float64 { return d.SetupS }), "s"},
-		{"peak_rss_MiB", med(func(d *daemonRun) float64 { return d.PeakRSSMiB }), "MiB"},
+		{"setup_s", quartiles(r.SetupS)[1], "s"},
+		{"peak_rss_MiB", quartiles(r.PeakRSSMiB)[1], "MiB"},
 		{"sim_cycles_per_block", r.Slice.cyclesPerBlock(), "cycles"},
-		{"lat_p99_ms", float64(percentile(lat, 0.99)) / 1e6, "ms"},
+		{"lat_p99_ms", ms(0.99), "ms"},
 	}
 }
 
@@ -256,17 +237,4 @@ func percentile(sorted []int64, q float64) int64 {
 	}
 	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	return sorted[max(i, 0)]
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := slices.Clone(v)
-	slices.Sort(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

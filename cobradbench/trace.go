@@ -385,7 +385,7 @@ func replay(cfg runConfig, in *inputs, p *phase) (*replayResult, error) {
 			}
 			engDs = append(engDs, float64(ed))
 		}
-		cd, ed := median(coreDs), median(engDs)
+		cd, ed := quartiles(coreDs)[1], quartiles(engDs)[1]
 		coreNs += cd
 		add(id+"/core", id, "core."+r.class(), coreStart, time.Duration(cd))
 		add(id+"/core/"+engine, id+"/core", engine, coreStart, time.Duration(ed))
@@ -396,8 +396,12 @@ func replay(cfg runConfig, in *inputs, p *phase) (*replayResult, error) {
 		}
 	}
 	if coreNs > 0 {
-		rr.fastFrac, rr.simFrac = fastNs/coreNs, simNs/coreNs
-		rr.coreSelfFrac = max(1-rr.fastFrac-rr.simFrac, 0)
+		// The engine replay can read longer than the device call that
+		// contains it when the host's speed moves between the two; its
+		// share is then capped at the whole call.
+		whole := max(coreNs, fastNs+simNs)
+		rr.fastFrac, rr.simFrac = fastNs/whole, simNs/whole
+		rr.coreSelfFrac = 1 - rr.fastFrac - rr.simFrac
 	}
 	rr.codecUs = codecNs / float64(len(sample)) / 1e3
 	var err error
@@ -554,15 +558,6 @@ func engineCall(rt *replayTenant, r *request) (string, time.Duration, error) {
 	return engine, time.Since(st), err
 }
 
-func addOne(c *[16]byte) {
-	for i := 15; i >= 0; i-- {
-		c[i]++
-		if c[i] != 0 {
-			return
-		}
-	}
-}
-
 // timeExec times one EncryptInto of n blocks.
 func timeExec(ex *fastpath.Exec, n int) (float64, sim.Stats, error) {
 	blocks := make([]bits.Block128, n)
@@ -581,7 +576,7 @@ func timeMedian(n int, f func() error) (float64, error) {
 		}
 		ds = append(ds, time.Since(st).Seconds())
 	}
-	return median(ds), nil
+	return quartiles(ds)[1], nil
 }
 
 func loadedMachine(p *program.Program) (*sim.Machine, error) {
