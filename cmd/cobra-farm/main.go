@@ -31,10 +31,10 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"cobra/internal/cipher"
 	"cobra/internal/core"
 	"cobra/internal/farm"
 	"cobra/internal/obs"
+	"cobra/internal/program"
 )
 
 func main() {
@@ -203,18 +203,11 @@ func parseWorkers(csv string) ([]int, error) {
 // measurement prints. For the decrypt modes it returns the ciphertext
 // the farm is asked to invert.
 func hostReference(alg core.Algorithm, key, iv, msg []byte, mode string) ([]byte, error) {
-	var blk cipher.Block
-	var err error
-	switch alg {
-	case core.RC6:
-		blk, err = cipher.NewRC6(key)
-	case core.Rijndael:
-		blk, err = cipher.NewRijndael(key)
-	case core.Serpent:
-		blk, err = cipher.NewSerpentCOBRA(key)
-	default:
-		err = fmt.Errorf("unknown -alg %q", alg)
+	spec, err := program.Lookup(string(alg))
+	if err != nil {
+		return nil, err
 	}
+	blk, err := spec.Reference(key)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,9 @@
 //	cobra-lint file.go             # lint one file
 //	cobra-lint -json out.json ./...   # ...plus machine-readable findings
 //
-// Analyzers: deprecated (no new callers of the deprecated program.Encrypt*
-// wrappers), hotpath (no fmt or allocation-prone calls inside
-// //cobra:hotpath functions), hotpathpanic (no panic or log.Fatal* calls
-// inside //cobra:hotpath functions). Like cobra-vet, cobra-lint is
+// Analyzers: hotpath (no fmt or allocation-prone calls inside
+// //cobra:hotpath functions) and hotpathpanic (no panic or log.Fatal*
+// calls inside //cobra:hotpath functions). Like cobra-vet, cobra-lint is
 // full-report: every requested file is checked and every finding printed
 // before the exit status (1 on findings, 2 on usage) is decided.
 //

@@ -20,9 +20,8 @@ func TestExitCodes(t *testing.T) {
 	dirty := filepath.Join(dir, "dirty.go")
 	dirtySrc := `package x
 
-import "cobra/internal/program"
-
-func f() { program.Encrypt(nil, nil, nil) }
+//cobra:hotpath
+func f() []int { return make([]int, 4) }
 `
 	if err := os.WriteFile(dirty, []byte(dirtySrc), 0o644); err != nil {
 		t.Fatal(err)
@@ -57,14 +56,14 @@ func TestFullReport(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.go")
 	b := filepath.Join(dir, "b.go")
-	os.WriteFile(a, []byte("package x\n\nimport \"cobra/internal/program\"\n\nfunc f() { program.Encrypt(nil, nil, nil) }\n"), 0o644)
+	os.WriteFile(a, []byte("package x\n\n//cobra:hotpath\nfunc f() { panic(\"boom\") }\n"), 0o644)
 	os.WriteFile(b, []byte("package x\n\n//cobra:hotpath\nfunc g() { _ = make([]int, 1) }\n"), 0o644)
 	var out, errb bytes.Buffer
 	if got := run([]string{a, b}, &out, &errb); got != 1 {
 		t.Fatalf("exit = %d, want 1", got)
 	}
 	s := out.String()
-	if !strings.Contains(s, "deprecated") || !strings.Contains(s, "hotpath") {
+	if !strings.Contains(s, ": hotpathpanic: ") || !strings.Contains(s, ": hotpath: ") {
 		t.Errorf("expected findings from both files:\n%s", s)
 	}
 }

@@ -9,6 +9,7 @@
 //	cobra-sim -alg rijndael -rounds 2 -key 000102...0f -blocks 64
 //	cobra-sim -alg rc6 -rounds 20 -in plain.bin -out cipher.bin
 //	cobra-sim -alg serpent -rounds 1 -verify -trace
+//	cobra-sim -alg tea              # no -rounds: the deepest legal unroll
 package main
 
 import (
@@ -25,8 +26,8 @@ import (
 )
 
 func main() {
-	alg := flag.String("alg", "rijndael", "algorithm: rc6, rijndael, serpent")
-	rounds := flag.Int("rounds", 0, "unroll depth (0 = full unroll)")
+	alg := flag.String("alg", "rijndael", "algorithm: "+strings.Join(program.Names(), ", "))
+	rounds := flag.Int("rounds", 0, "unroll depth (0 = the deepest legal unroll)")
 	keyHex := flag.String("key", strings.Repeat("00", 16), "key (hex)")
 	blocks := flag.Int("blocks", 16, "number of synthetic test blocks when -in is not given")
 	inFile := flag.String("in", "", "plaintext input file (multiple of 16 bytes)")
@@ -40,15 +41,19 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("bad -key: %v", err))
 	}
+	spec, err := program.Lookup(*alg)
+	if err != nil {
+		fatal(err)
+	}
 	if *rounds == 0 {
-		*rounds = map[string]int{"rc6": 20, "rijndael": 10, "serpent": 32}[*alg]
+		*rounds = spec.Depths[len(spec.Depths)-1]
 	}
 	cfg := bench.Config{Alg: *alg, Rounds: *rounds}
-	build := bench.Build
+	build := spec.Build
 	if *decrypt {
-		build = bench.BuildDecrypt
+		build = spec.BuildDecrypt
 	}
-	p, err := build(cfg, key)
+	p, err := build(key, *rounds)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,7 +127,7 @@ func main() {
 	fmt.Printf("clock (model):    %.3f MHz datapath, %.3f MHz iRAM\n",
 		meas.FreqMHz, 2*meas.FreqMHz)
 	fmt.Printf("throughput:       %.2f Mbps\n",
-		meas.FreqMHz*float64(bench.PayloadBitsPerSuperblock(*alg))/cpb)
+		meas.FreqMHz*float64(8*spec.BlockSize*spec.BlocksPerSuperblock)/cpb)
 	if !quiet(dst) {
 		fmt.Printf("first block out:  %x\n", dst[:16])
 	}

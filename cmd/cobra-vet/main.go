@@ -59,7 +59,6 @@ import (
 	"cobra/internal/equiv"
 	"cobra/internal/fastpath"
 	"cobra/internal/isa"
-	"cobra/internal/program"
 	"cobra/internal/sca"
 	"cobra/internal/vet"
 )
@@ -180,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "cobra-vet: bad -key: empty")
 			return 2
 		}
-		progs, errs := builtins(key)
+		progs, errs := bench.Builtins(key)
 		for _, err := range errs {
 			fail("%v", err)
 		}
@@ -282,44 +281,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// builtins compiles every built-in program the repository ships. Builders
-// that fail are collected, not fatal: the rest of the corpus still runs.
-func builtins(key []byte) ([]*program.Program, []error) {
-	var progs []*program.Program
-	var errs []error
-	add := func(p *program.Program, err error) {
-		if err != nil {
-			errs = append(errs, err)
-			return
-		}
-		progs = append(progs, p)
-	}
-	serpentDec := false
-	for _, c := range bench.Configurations() {
-		add(bench.Build(c, key))
-		if c.Alg == "serpent" {
-			// The Serpent decryptor is depth-independent; build it once.
-			if serpentDec {
-				continue
-			}
-			serpentDec = true
-		}
-		add(bench.BuildDecrypt(c, key))
-	}
-	for w := 2; w <= 16; w++ {
-		add(program.BuildSerpentWindowed(key, w))
-	}
-	gostKey := make([]byte, 32) // GOST wants 256 bits; cycle the key bytes
-	for i := range gostKey {
-		gostKey[i] = key[i%len(key)]
-	}
-	add(program.BuildGOST(gostKey))
-	add(program.BuildRijndaelKeyed())
-	for _, c := range bench.ExtendedConfigurations() {
-		add(bench.BuildExtended(c, key))
-		add(bench.BuildExtendedDecrypt(c, key))
-	}
-	return progs, errs
 }

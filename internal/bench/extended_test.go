@@ -9,15 +9,12 @@ func TestMeasureAllExtendedVerifies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extended sweep is not short")
 	}
-	ms, err := MeasureAllExtended(benchKey, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != len(ExtendedConfigurations()) {
-		t.Fatalf("measurements = %d", len(ms))
-	}
 	perAlg := map[string][]Measurement{}
-	for _, m := range ms {
+	for _, c := range ExtendedConfigurations() {
+		m, err := Measure(c, benchKey, 8)
+		if err != nil {
+			t.Fatalf("%s-%d: %v", c.Alg, c.Rounds, err)
+		}
 		if !m.Verified {
 			t.Errorf("%s-%d: outputs failed verification", m.Alg, m.Rounds)
 		}
@@ -27,6 +24,9 @@ func TestMeasureAllExtendedVerifies(t *testing.T) {
 		perAlg[m.Alg] = append(perAlg[m.Alg], m)
 		t.Logf("%s-%d: %.1f cycles/64-bit block, %.3f MHz, %.2f Mbps (%d rows)",
 			m.Alg, m.Rounds, m.CyclesPerBlock, m.FreqMHz, m.Mbps, m.Rows)
+	}
+	if len(perAlg) != 5 {
+		t.Fatalf("extended sweep covers %d ciphers, want 5", len(perAlg))
 	}
 	for alg, rows := range perAlg {
 		first, last := rows[0], rows[len(rows)-1]
@@ -40,28 +40,14 @@ func TestMeasureAllExtendedVerifies(t *testing.T) {
 // TestExtendedDecryptConfigsBuild compiles every extended decryptor.
 func TestExtendedDecryptConfigsBuild(t *testing.T) {
 	for _, c := range ExtendedConfigurations() {
-		if _, err := BuildExtendedDecrypt(c, benchKey); err != nil {
+		if _, err := BuildDecrypt(c, benchKey); err != nil {
 			t.Errorf("%s-dec-%d: %v", c.Alg, c.Rounds, err)
 		}
 	}
 }
 
-// TestExtendedRejectsUnknownAlg pins the error paths.
-func TestExtendedRejectsUnknownAlg(t *testing.T) {
-	bad := Config{"idea", 8}
-	if _, err := BuildExtended(bad, benchKey); err == nil {
-		t.Error("BuildExtended should reject an unknown algorithm")
-	}
-	if _, err := BuildExtendedDecrypt(bad, benchKey); err == nil {
-		t.Error("BuildExtendedDecrypt should reject an unknown algorithm")
-	}
-	if _, err := extendedReference(bad, benchKey); err == nil {
-		t.Error("extendedReference should reject an unknown algorithm")
-	}
-	if _, err := extendedPack("idea", nil); err == nil {
-		t.Error("extendedPack should reject an unknown algorithm")
-	}
-	if _, err := extendedUnpack("idea", nil); err == nil {
-		t.Error("extendedUnpack should reject an unknown algorithm")
+func TestBuiltinsRejectsEmptyKey(t *testing.T) {
+	if progs, errs := Builtins(nil); len(progs) != 0 || len(errs) != 1 {
+		t.Errorf("Builtins(nil) = %d programs, %v", len(progs), errs)
 	}
 }

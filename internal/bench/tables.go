@@ -9,7 +9,6 @@ import (
 
 	"cobra/internal/bits"
 	"cobra/internal/census"
-	"cobra/internal/cipher"
 	"cobra/internal/datapath"
 	"cobra/internal/model"
 	"cobra/internal/program"
@@ -30,44 +29,22 @@ func Configurations() []Config {
 	}
 }
 
-// Build compiles one configuration with the given key. Algorithms beyond
-// the paper's three fall through to the extended 64-bit corpus.
+// Build compiles one configuration with the given key.
 func Build(c Config, key []byte) (*program.Program, error) {
-	switch c.Alg {
-	case "rc6":
-		return program.BuildRC6(key, c.Rounds, cipher.RC6Rounds)
-	case "rijndael":
-		return program.BuildRijndael(key, c.Rounds)
-	case "serpent":
-		return program.BuildSerpent(key, c.Rounds)
+	s, err := program.Lookup(c.Alg)
+	if err != nil {
+		return nil, err
 	}
-	return BuildExtended(c, key)
+	return s.Build(key, c.Rounds)
 }
 
 // BuildDecrypt compiles one decryption configuration.
 func BuildDecrypt(c Config, key []byte) (*program.Program, error) {
-	switch c.Alg {
-	case "rc6":
-		return program.BuildRC6Decrypt(key, c.Rounds, cipher.RC6Rounds)
-	case "rijndael":
-		return program.BuildRijndaelDecrypt(key, c.Rounds)
-	case "serpent":
-		return program.BuildSerpentDecrypt(key)
+	s, err := program.Lookup(c.Alg)
+	if err != nil {
+		return nil, err
 	}
-	return BuildExtendedDecrypt(c, key)
-}
-
-// reference constructs the functional oracle for a configuration.
-func reference(c Config, key []byte) (cipher.Block, error) {
-	switch c.Alg {
-	case "rc6":
-		return cipher.NewRC6(key)
-	case "rijndael":
-		return cipher.NewRijndael(key)
-	case "serpent":
-		return cipher.NewSerpentCOBRA(key)
-	}
-	return nil, fmt.Errorf("bench: unknown algorithm %q", c.Alg)
+	return s.BuildDecrypt(key, c.Rounds)
 }
 
 // Measurement is one measured Table 3 row.
@@ -102,16 +79,17 @@ func testBatch(n int) []bits.Block128 {
 	return out
 }
 
-// Measure runs one configuration over a batch of blocks, verifies every
-// output against the reference cipher, and returns the Table 3 metrics.
-// The extended 64-bit corpus routes to MeasureExtended, whose batch is
-// counted in 64-bit cipher blocks.
+// Measure runs one configuration over a batch of cipher blocks, verifies
+// every output against the reference cipher, and returns the Table 3
+// metrics. The batch is rounded up to whole superblocks, and
+// CyclesPerBlock and Mbps count cipher blocks (64-bit ones for the
+// extended corpus), so rows are comparable across the corpus.
 func Measure(c Config, key []byte, batch int) (Measurement, error) {
-	switch c.Alg {
-	case "rc5", "tea", "simon64", "blowfish", "des":
-		return MeasureExtended(c, key, batch)
+	s, err := program.Lookup(c.Alg)
+	if err != nil {
+		return Measurement{}, err
 	}
-	p, err := Build(c, key)
+	p, err := s.Build(key, c.Rounds)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -126,38 +104,47 @@ func Measure(c Config, key []byte, batch int) (Measurement, error) {
 	// Analyze timing on the steady (post-setup) configuration, before the
 	// run leaves the machine frozen in a first/last-round special state.
 	tm := model.Analyze(m.Array, model.DefaultDelays())
-	blocks := testBatch(batch)
-	out := make([]bits.Block128, len(blocks))
-	stats, err := program.Run(m, p, out, blocks, program.Opts{})
+
+	if r := batch % s.BlocksPerSuperblock; r != 0 {
+		batch += s.BlocksPerSuperblock - r
+	}
+	raw := testBatch((batch*s.BlockSize + 15) / 16)
+	pt := make([]byte, batch*s.BlockSize)
+	for i := range pt {
+		pt[i] = byte(raw[i/16][i/4%4] >> (8 * (i % 4)))
+	}
+	sbs, err := s.Pack(pt)
 	if err != nil {
 		return Measurement{}, err
 	}
-	ref, err := reference(c, key)
+	stats, err := program.RunBytes(m, p, sbs, sbs, program.Opts{})
 	if err != nil {
 		return Measurement{}, err
 	}
-	verified := true
-	var pt, ct [16]byte
-	for i, blk := range blocks {
-		blk.StoreBlock128(pt[:])
-		ref.Encrypt(ct[:], pt[:])
-		if out[i] != bits.LoadBlock128(ct[:]) {
-			verified = false
-			break
-		}
+	got, err := s.Unpack(sbs)
+	if err != nil {
+		return Measurement{}, err
 	}
-	cpb := float64(stats.Cycles) / float64(len(blocks))
+	ref, err := s.Reference(key)
+	if err != nil {
+		return Measurement{}, err
+	}
+	want := make([]byte, len(pt))
+	for i := 0; i < len(pt); i += s.BlockSize {
+		ref.Encrypt(want[i:], pt[i:])
+	}
+	cpb := float64(stats.Cycles) / float64(batch)
 	return Measurement{
 		Config:         c,
 		CyclesPerBlock: cpb,
 		FreqMHz:        tm.DatapathMHz,
-		Mbps:           tm.ThroughputMbps(cpb),
+		Mbps:           tm.DatapathMHz * float64(8*s.BlockSize) / cpb,
 		FPGAMbps:       FPGAEquivalentMbps(c.Alg, c.Rounds),
 		Rows:           p.Geometry.Rows,
 		Instructions:   stats.Instructions,
 		Stalled:        stats.Stalled,
 		Nops:           stats.Nops,
-		Verified:       verified,
+		Verified:       bytes.Equal(got, want),
 	}, nil
 }
 
@@ -332,10 +319,7 @@ func ATMText(ms []Measurement) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ATM requirement: %d Mbps (§1)\n", ATMRequirementMbps)
 	for _, m := range ms {
-		full := (m.Alg == "rc6" && m.Rounds == 20) ||
-			(m.Alg == "rijndael" && m.Rounds == 10) ||
-			(m.Alg == "serpent" && m.Rounds == 32)
-		if !full {
+		if s, err := program.Lookup(m.Alg); err != nil || m.Rounds != s.Rounds {
 			continue
 		}
 		verdict := "MEETS"
@@ -411,7 +395,10 @@ func comma(v int) string {
 // SortMeasurements orders rows in Table 3 publication order (already built
 // that way by MeasureAll; exported for callers that collect out of order).
 func SortMeasurements(ms []Measurement) {
-	order := map[string]int{"rc6": 0, "rijndael": 1, "serpent": 2}
+	order := map[string]int{}
+	for i, name := range program.Names() {
+		order[name] = i
+	}
 	sort.Slice(ms, func(i, j int) bool {
 		if order[ms[i].Alg] != order[ms[j].Alg] {
 			return order[ms[i].Alg] < order[ms[j].Alg]

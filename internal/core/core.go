@@ -48,15 +48,24 @@ const (
 
 // TotalRounds returns the cipher's full round count.
 func (a Algorithm) TotalRounds() (int, error) {
-	switch a {
-	case RC6:
-		return cipher.RC6Rounds, nil
-	case Rijndael:
-		return cipher.AESRounds, nil
-	case Serpent:
-		return cipher.SerpentRounds, nil
+	s, err := a.spec()
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q", a)
+	return s.Rounds, nil
+}
+
+// spec looks the algorithm up in the cipher registry. A device serves
+// 16-byte blocks only, so the 64-bit-block ciphers are refused.
+func (a Algorithm) spec() (*program.Spec, error) {
+	s, err := program.Lookup(string(a))
+	if err != nil {
+		return nil, fmt.Errorf("core: unknown algorithm %q", a)
+	}
+	if s.BlockSize != 16 {
+		return nil, fmt.Errorf("core: %s has %d-byte blocks; a device serves 16-byte blocks only", a, s.BlockSize)
+	}
+	return s, nil
 }
 
 // Config selects the architecture configuration for a session.
@@ -103,7 +112,7 @@ type Config struct {
 // devices — one per goroutine — and shard the data between them;
 // internal/farm packages exactly that pattern.
 type Device struct {
-	alg     Algorithm
+	spec    *program.Spec
 	prog    *program.Program
 	machine *sim.Machine
 	timing  model.Timing
@@ -138,30 +147,19 @@ type Device struct {
 // the matching array geometry, loads the iRAM and runs the configuration
 // phase to the idle point.
 func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
-	total, err := alg.TotalRounds()
+	s, err := alg.spec()
 	if err != nil {
 		return nil, err
 	}
 	unroll := cfg.Unroll
 	if unroll == 0 {
-		unroll = total
+		unroll = s.Rounds
 	}
-	var p *program.Program
-	var ref cipher.Block
-	switch alg {
-	case RC6:
-		if p, err = program.BuildRC6(key, unroll, total); err == nil {
-			ref, err = cipher.NewRC6(key)
-		}
-	case Rijndael:
-		if p, err = program.BuildRijndael(key, unroll); err == nil {
-			ref, err = cipher.NewRijndael(key)
-		}
-	case Serpent:
-		if p, err = program.BuildSerpent(key, unroll); err == nil {
-			ref, err = cipher.NewSerpentCOBRA(key)
-		}
+	p, err := s.Build(key, unroll)
+	if err != nil {
+		return nil, err
 	}
+	ref, err := s.Reference(key)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +177,7 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	// cobra_device_*_total mirrors (fed by encryptInto across both
 	// engines) are the bulk-encryption source of truth.
 	m.Obs = sim.NewObserver(met.reg)
-	d := &Device{alg: alg, prog: p, machine: m, ref: ref,
+	d := &Device{spec: s, prog: p, machine: m, ref: ref,
 		key: append([]byte(nil), key...), interpOnly: cfg.Interpreter,
 		validate: cfg.Validate, met: met}
 	if err := d.load(); err != nil {
@@ -315,7 +313,7 @@ func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 		// decryption datapath is dropped and rebuilt lazily for the new
 		// algorithm/key, and the compiled trace is replaced by the new
 		// configuration's (nd already compiled it — no second recording).
-		d.alg, d.prog, d.ref, d.key = nd.alg, nd.prog, nd.ref, nd.key
+		d.spec, d.prog, d.ref, d.key = nd.spec, nd.prog, nd.ref, nd.key
 		d.decProg, d.decMachine = nil, nil
 		d.interpOnly, d.validate = nd.interpOnly, nd.validate
 		if err := program.Load(d.machine, d.prog); err != nil {
@@ -335,7 +333,7 @@ func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 }
 
 // Algorithm returns the configured algorithm.
-func (d *Device) Algorithm() Algorithm { return d.alg }
+func (d *Device) Algorithm() Algorithm { return Algorithm(d.spec.Name) }
 
 // Unroll returns the configured unroll depth.
 func (d *Device) Unroll() int { return d.prog.HWRounds }
@@ -343,9 +341,8 @@ func (d *Device) Unroll() int { return d.prog.HWRounds }
 // Geometry returns the array geometry in rows.
 func (d *Device) Geometry() datapath.Geometry { return d.prog.Geometry }
 
-// BlockSize returns the cipher block size in bytes (16 for every §4
-// algorithm).
-func (d *Device) BlockSize() int { return 16 }
+// BlockSize returns the cipher block size in bytes.
+func (d *Device) BlockSize() int { return d.spec.BlockSize }
 
 // EncryptECB encrypts src (a multiple of 16 bytes) into a fresh slice by
 // streaming the blocks through the datapath in electronic-codebook mode,
@@ -668,21 +665,7 @@ func (d *Device) decryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats
 // shares the device registry's observer, so the cobra_sim_* family covers
 // both directions.
 func (d *Device) buildDecryptor() error {
-	var p *program.Program
-	var err error
-	key := d.key
-	switch d.alg {
-	case RC6:
-		p, err = program.BuildRC6Decrypt(key, d.prog.HWRounds, d.prog.TotalRounds)
-	case Rijndael:
-		p, err = program.BuildRijndaelDecrypt(key, d.prog.HWRounds)
-	case Serpent:
-		// The decryption mapping is evaluated at the paper's base
-		// granularity (one round per pass).
-		p, err = program.BuildSerpentDecrypt(key)
-	default:
-		err = fmt.Errorf("core: no decryption mapping for %q", d.alg)
-	}
+	p, err := d.spec.BuildDecrypt(d.key, d.prog.HWRounds)
 	if err != nil {
 		return err
 	}
@@ -742,7 +725,7 @@ func (d *Device) Report() Report {
 	}
 	return Report{
 		Summary: Summary{
-			Algorithm:      d.alg,
+			Algorithm:      d.Algorithm(),
 			Backend:        "device",
 			Workers:        1,
 			Unroll:         d.prog.HWRounds,

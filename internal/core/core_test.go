@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"cobra/internal/cipher"
+	"cobra/internal/program"
 )
 
 var key = []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
@@ -33,12 +35,7 @@ func TestConfigureAndEncryptAllAlgorithms(t *testing.T) {
 
 func TestEncryptMatchesReferenceCiphers(t *testing.T) {
 	pt := bytes.Repeat([]byte{0x3c}, 32)
-	refs := map[Algorithm]func() (cipher.Block, error){
-		RC6:      func() (cipher.Block, error) { return cipher.NewRC6(key) },
-		Rijndael: func() (cipher.Block, error) { return cipher.NewRijndael(key) },
-		Serpent:  func() (cipher.Block, error) { return cipher.NewSerpentCOBRA(key) },
-	}
-	for alg, mk := range refs {
+	for _, alg := range []Algorithm{RC6, Rijndael, Serpent} {
 		d, err := Configure(alg, key, Config{Unroll: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +44,7 @@ func TestEncryptMatchesReferenceCiphers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := hostRef(t, alg, key)
 		want := make([]byte, len(pt))
 		for i := 0; i < len(pt); i += 16 {
 			ref.Encrypt(want[i:], pt[i:])
@@ -142,6 +136,50 @@ func TestReconfigureDifferentGeometryRebuilds(t *testing.T) {
 	}
 	if d.Geometry().Rows != 32 {
 		t.Errorf("rows = %d, want 32", d.Geometry().Rows)
+	}
+}
+
+// hostRef is the registry's host reference cipher for alg under key.
+func hostRef(t *testing.T, alg Algorithm, key []byte) cipher.Block {
+	t.Helper()
+	s, err := program.Lookup(string(alg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.Reference(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestConfigureServesSixteenByteCiphers walks the cipher registry: a
+// device serves every 16-byte-block cipher and refuses every 8-byte one.
+func TestConfigureServesSixteenByteCiphers(t *testing.T) {
+	var served []Algorithm
+	for _, s := range program.Specs() {
+		alg := Algorithm(s.Name)
+		d, err := Configure(alg, key, Config{Unroll: 1})
+		if s.BlockSize != 16 {
+			if err == nil {
+				t.Errorf("%s: configured a %d-byte-block cipher", alg, s.BlockSize)
+			}
+			if _, err := alg.TotalRounds(); err == nil {
+				t.Errorf("%s: TotalRounds accepted a %d-byte-block cipher", alg, s.BlockSize)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", alg, err)
+			continue
+		}
+		if d.Algorithm() != alg || d.BlockSize() != 16 {
+			t.Errorf("%s: device reports %s with %d-byte blocks", alg, d.Algorithm(), d.BlockSize())
+		}
+		served = append(served, alg)
+	}
+	if want := []Algorithm{RC6, Rijndael, Serpent}; !slices.Equal(served, want) {
+		t.Errorf("device serves %v, want %v", served, want)
 	}
 }
 

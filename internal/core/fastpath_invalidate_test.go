@@ -99,12 +99,11 @@ func TestReconfigureAcrossGeometriesInvalidatesTrace(t *testing.T) {
 	}
 	for _, hop := range []struct {
 		alg Algorithm
-		mk  func() (cipher.Block, error)
 		cfg Config
 	}{
-		{Serpent, func() (cipher.Block, error) { return cipher.NewSerpentCOBRA(key) }, Config{}},
-		{Rijndael, func() (cipher.Block, error) { return cipher.NewRijndael(key) }, Config{Unroll: 10}},
-		{RC6, func() (cipher.Block, error) { return cipher.NewRC6(key) }, Config{Unroll: 1}},
+		{Serpent, Config{}},
+		{Rijndael, Config{Unroll: 10}},
+		{RC6, Config{Unroll: 1}},
 	} {
 		if err := d.Reconfigure(hop.alg, key, hop.cfg); err != nil {
 			t.Fatalf("%s: %v", hop.alg, err)
@@ -112,15 +111,11 @@ func TestReconfigureAcrossGeometriesInvalidatesTrace(t *testing.T) {
 		if !d.UsesFastpath() {
 			t.Fatalf("%s: fastpath refused: %v", hop.alg, d.FastpathErr())
 		}
-		ref, err := hop.mk()
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := d.EncryptECB(context.Background(), msg)
 		if err != nil {
 			t.Fatalf("%s: %v", hop.alg, err)
 		}
-		if want := hostECB(t, ref, msg); !bytes.Equal(got, want) {
+		if want := hostECB(t, hostRef(t, hop.alg, key), msg); !bytes.Equal(got, want) {
 			t.Fatalf("%s: ciphertext does not match host reference after geometry change", hop.alg)
 		}
 	}

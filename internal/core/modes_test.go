@@ -142,17 +142,12 @@ func refCTR(blk cipher.Block, iv, src []byte) []byte {
 }
 
 func TestCTRRoundTripAgainstHostReference(t *testing.T) {
-	refs := map[Algorithm]func() (cipher.Block, error){
-		RC6:      func() (cipher.Block, error) { return cipher.NewRC6(key) },
-		Rijndael: func() (cipher.Block, error) { return cipher.NewRijndael(key) },
-		Serpent:  func() (cipher.Block, error) { return cipher.NewSerpentCOBRA(key) },
-	}
 	iv := unhex(t, "0102030405060708090a0b0c0d0e0f10")
 	pt := make([]byte, 16*9)
 	for i := range pt {
 		pt[i] = byte(i * 7)
 	}
-	for alg, mk := range refs {
+	for _, alg := range []Algorithm{RC6, Rijndael, Serpent} {
 		d, err := Configure(alg, key, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
@@ -161,11 +156,7 @@ func TestCTRRoundTripAgainstHostReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		ref, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := refCTR(ref, iv, pt); !bytes.Equal(ct, want) {
+		if want := refCTR(hostRef(t, alg, key), iv, pt); !bytes.Equal(ct, want) {
 			t.Errorf("%s: CTR = %x, want %x", alg, ct, want)
 		}
 		back, err := d.DecryptCTR(context.Background(), iv, ct)

@@ -9,42 +9,12 @@ import (
 )
 
 // corpus builds every built-in program the repository ships (the cobra-vet
-// -builtin set): the Table 3 sweep with decryptors, windowed Serpent, GOST,
-// keyed Rijndael, and the extended 64-bit corpus with its decryptors.
+// -builtin set, bench.Builtins).
 func corpus(t *testing.T) []*program.Program {
 	t.Helper()
-	key := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	var progs []*program.Program
-	add := func(p *program.Program, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, p)
-	}
-	serpentDec := false
-	for _, c := range bench.Configurations() {
-		add(bench.Build(c, key))
-		if c.Alg == "serpent" {
-			if serpentDec {
-				continue
-			}
-			serpentDec = true
-		}
-		add(bench.BuildDecrypt(c, key))
-	}
-	for w := 2; w <= 16; w++ {
-		add(program.BuildSerpentWindowed(key, w))
-	}
-	gostKey := make([]byte, 32)
-	for i := range gostKey {
-		gostKey[i] = key[i%len(key)]
-	}
-	add(program.BuildGOST(gostKey))
-	add(program.BuildRijndaelKeyed())
-	for _, c := range bench.ExtendedConfigurations() {
-		add(bench.BuildExtended(c, key))
-		add(bench.BuildExtendedDecrypt(c, key))
+	progs, errs := bench.Builtins([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	for _, err := range errs {
+		t.Fatal(err)
 	}
 	return progs
 }

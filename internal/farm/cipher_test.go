@@ -64,7 +64,7 @@ func TestCipherBackendSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 3)
+	f, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFarmCBCMatchesDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 4)
+	f, err := Open(core.Rijndael, key, Options{Workers: 4, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

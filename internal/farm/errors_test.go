@@ -42,7 +42,7 @@ func findSample(r *obs.Registry, name string, labels ...obs.Label) (obs.Sample, 
 // checks the error surfaces to the caller, the counters record it
 // consistently at both levels, and the farm keeps serving afterwards.
 func TestFarmWorkerErrorPropagation(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFarmWorkerErrorPropagation(t *testing.T) {
 // queue behind it — and checks the cancellation reaches the caller and
 // the skipped/failed shards are recorded as worker errors.
 func TestFarmCancellationCounters(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 1)
+	f, err := Open(core.Rijndael, key, Options{Workers: 1, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFarmCancellationCounters(t *testing.T) {
 // whole tree from the parent.
 func TestFarmMetricsExport(t *testing.T) {
 	parent := obs.NewRegistry()
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1, Metrics: parent}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1, Metrics: parent}})
 	if err != nil {
 		t.Fatal(err)
 	}

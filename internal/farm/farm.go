@@ -169,20 +169,6 @@ func Open(alg core.Algorithm, key []byte, opts Options) (*Farm, error) {
 	return f, nil
 }
 
-// New configures a pool of workers identical devices for the
-// algorithm/key pair.
-//
-// Deprecated: use Open with an Options struct (or NewPool + Pool.Open
-// for a multi-tenant pool). New survives as a shim over Open and keeps
-// its historical validation; cobra-lint's farmnew analyzer flags new
-// callers.
-func New(alg core.Algorithm, key []byte, cfg core.Config, workers int) (*Farm, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("farm: need at least 1 worker, got %d", workers)
-	}
-	return Open(alg, key, Options{Workers: workers, Config: cfg})
-}
-
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
 // cfg's Metrics and Trace fields are ignored (those are pool-level

@@ -10,6 +10,7 @@ import (
 
 	"cobra/internal/cipher"
 	"cobra/internal/core"
+	"cobra/internal/program"
 	"cobra/internal/sim"
 )
 
@@ -42,16 +43,11 @@ func refCTR(t *testing.T, blk cipher.Block, iv, src []byte) []byte {
 
 func reference(t *testing.T, alg core.Algorithm) cipher.Block {
 	t.Helper()
-	var blk cipher.Block
-	var err error
-	switch alg {
-	case core.RC6:
-		blk, err = cipher.NewRC6(key)
-	case core.Rijndael:
-		blk, err = cipher.NewRijndael(key)
-	case core.Serpent:
-		blk, err = cipher.NewSerpentCOBRA(key)
+	s, err := program.Lookup(string(alg))
+	if err != nil {
+		t.Fatal(err)
 	}
+	blk, err := s.Reference(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,7 @@ func testMessage(n int) []byte {
 // shards and end on a partial block.
 func TestFarmCTRMatchesSingleDevice(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.RC6, core.Rijndael, core.Serpent} {
-		f, err := New(alg, key, core.Config{}, 4)
+		f, err := Open(alg, key, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -105,7 +101,7 @@ func TestFarmCTRMatchesSingleDevice(t *testing.T) {
 // carry so shard-start counters derived via AddCounter exercise the carry
 // chain.
 func TestFarmCTRCrossesShardBoundaryCounters(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{}, 3)
+	f, err := Open(core.Rijndael, key, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestFarmCTRCrossesShardBoundaryCounters(t *testing.T) {
 }
 
 func TestFarmECBMatchesSingleDevice(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 2}, 4)
+	f, err := Open(core.Rijndael, key, Options{Workers: 4, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +152,13 @@ func TestFarmECBMatchesSingleDevice(t *testing.T) {
 }
 
 func TestFarmValidation(t *testing.T) {
-	if _, err := New(core.Rijndael, key, core.Config{}, 0); err == nil {
-		t.Error("zero workers accepted")
+	if _, err := Open(core.Rijndael, key, Options{Workers: -1}); err == nil {
+		t.Error("negative workers accepted")
 	}
-	if _, err := New(core.Rijndael, key[:3], core.Config{}, 1); err == nil {
+	if _, err := Open(core.Rijndael, key[:3], Options{Workers: 1}); err == nil {
 		t.Error("bad key accepted")
 	}
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 1)
+	f, err := Open(core.Rijndael, key, Options{Workers: 1, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +172,7 @@ func TestFarmValidation(t *testing.T) {
 }
 
 func TestFarmContextCancellation(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +196,7 @@ func TestFarmContextCancellation(t *testing.T) {
 }
 
 func TestFarmClose(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +213,7 @@ func TestFarmClose(t *testing.T) {
 
 func TestFarmReportAggregation(t *testing.T) {
 	const workers = 2
-	f, err := New(core.Rijndael, key, core.Config{}, workers)
+	f, err := Open(core.Rijndael, key, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +253,7 @@ func TestFarmReportAggregation(t *testing.T) {
 // a no-op that dispatches no jobs, and the report's derived rates stay
 // zero instead of dividing by zero.
 func TestFarmZeroLengthMessage(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +283,7 @@ func TestFarmZeroLengthMessage(t *testing.T) {
 // ending mid-block still counts the final keystream block, the ciphertext
 // matches the host oracle, and the per-worker counters sum to the total.
 func TestFarmPartialFinalBlockReport(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +321,7 @@ func TestFarmScalingMonotonic(t *testing.T) {
 	iv := make([]byte, 16)
 	prev := 0.0
 	for _, workers := range []int{1, 2, 4} {
-		f, err := New(core.Rijndael, key, core.Config{}, workers)
+		f, err := Open(core.Rijndael, key, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +339,7 @@ func TestFarmScalingMonotonic(t *testing.T) {
 
 func TestFarmQueueSignals(t *testing.T) {
 	const workers = 3
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 1}, workers)
+	f, err := Open(core.Rijndael, key, Options{Workers: workers, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 	if !probe.UsesFastpath() {
 		t.Fatalf("farm worker config does not compile a trace: %v", probe.FastpathErr())
 	}
-	f, err := New(core.RC6, key, core.Config{Unroll: 2}, 3)
+	f, err := Open(core.RC6, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 // worker pair sees the same call sequence and the per-call stats
 // equivalence proven in internal/fastpath must survive aggregation.
 func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
-	fast, err := New(core.Rijndael, key, core.Config{Unroll: 2}, 3)
+	fast, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	interp, err := New(core.Rijndael, key, core.Config{Unroll: 2, Interpreter: true}, 3)
+	interp, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2, Interpreter: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

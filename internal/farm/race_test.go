@@ -20,7 +20,7 @@ import (
 )
 
 func TestFarmNeverSharesDevicesBetweenGoroutines(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{}, 4)
+	f, err := Open(core.Rijndael, key, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFarmNeverSharesDevicesBetweenGoroutines(t *testing.T) {
 // Close: every call must either succeed with a verified ciphertext or
 // fail with ErrClosed — never corrupt, never deadlock, never race.
 func TestFarmCloseRacesWithCallers(t *testing.T) {
-	f, err := New(core.Rijndael, key, core.Config{Unroll: 2}, 2)
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o, err := (Options{MinWorkers: 9, Workers: 2}).withDefaults(); err != nil || o.MinWorkers != 2 {
 		t.Errorf("MinWorkers not clamped to Workers: %+v (%v)", o, err)
 	}
-	if _, err := New(core.Rijndael, key, core.Config{}, 0); err == nil {
-		t.Error("New with 0 workers accepted")
-	}
 	if _, err := Open(core.Rijndael, key, Options{Policy: "bogus"}); err == nil {
 		t.Error("Open with a bogus policy accepted")
 	}

@@ -26,11 +26,9 @@ type builderCase struct {
 }
 
 // allBuilders enumerates every builder × depth × window combination the
-// repository ships: the §4 encryption mappings at every Table-3 unroll,
-// the windowed Serpent variants at w = 1..16, GOST, the decryption
-// mappings, and the extended 64-bit corpus (RC5, TEA, SIMON 64/128,
-// Blowfish, DES) in both directions. Every one of them must
-// trace-compile.
+// repository ships: every registered cipher at every legal unroll depth in
+// both directions, the windowed Serpent variants at w = 1..16, and GOST.
+// Every one of them must trace-compile.
 func allBuilders() []builderCase {
 	key := make([]byte, 16)
 	for i := range key {
@@ -44,82 +42,26 @@ func allBuilders() []builderCase {
 	add := func(name string, build func() (*program.Program, error)) {
 		cases = append(cases, builderCase{name, build})
 	}
-	for _, hw := range []int{1, 2, 4, 5, 10, 20} {
-		hw := hw
-		add(fmt.Sprintf("rc6-%d", hw), func() (*program.Program, error) {
-			return program.BuildRC6(key, hw, 20)
-		})
-	}
-	for _, hw := range []int{1, 2, 5, 10} {
-		hw := hw
-		add(fmt.Sprintf("rijndael-%d", hw), func() (*program.Program, error) {
-			return program.BuildRijndael(key, hw)
-		})
-	}
-	for _, hw := range []int{1, 2, 4, 8, 16, 32} {
-		hw := hw
-		add(fmt.Sprintf("serpent-%d", hw), func() (*program.Program, error) {
-			return program.BuildSerpent(key, hw)
-		})
+	for _, s := range program.Specs() {
+		for _, hw := range s.Depths {
+			add(fmt.Sprintf("%s-%d", s.Name, hw), func() (*program.Program, error) {
+				return s.Build(key, hw)
+			})
+		}
+		for _, hw := range s.DecryptDepths {
+			name := fmt.Sprintf("%s-dec-%d", s.Name, hw)
+			if len(s.DecryptDepths) < len(s.Depths) {
+				name = s.Name + "-dec" // one decryptor for every depth
+			}
+			add(name, func() (*program.Program, error) { return s.BuildDecrypt(key, hw) })
+		}
 	}
 	for w := 1; w <= 16; w++ {
-		w := w
 		add(fmt.Sprintf("serpent-w%d", w), func() (*program.Program, error) {
 			return program.BuildSerpentWindowed(key, w)
 		})
 	}
 	add("gost", func() (*program.Program, error) { return program.BuildGOST(key32) })
-	for _, hw := range []int{1, 2, 4, 5, 10, 20} {
-		hw := hw
-		add(fmt.Sprintf("rc6-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildRC6Decrypt(key, hw, 20)
-		})
-	}
-	for _, hw := range []int{1, 2, 5, 10} {
-		hw := hw
-		add(fmt.Sprintf("rijndael-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildRijndaelDecrypt(key, hw)
-		})
-	}
-	add("serpent-dec", func() (*program.Program, error) { return program.BuildSerpentDecrypt(key) })
-	for _, hw := range []int{1, 2, 3, 4, 6, 12} {
-		hw := hw
-		add(fmt.Sprintf("rc5-%d", hw), func() (*program.Program, error) {
-			return program.BuildRC5(key, hw, 12)
-		})
-		add(fmt.Sprintf("rc5-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildRC5Decrypt(key, hw, 12)
-		})
-	}
-	for _, hw := range []int{1, 2, 4, 8, 16, 32} {
-		hw := hw
-		add(fmt.Sprintf("tea-%d", hw), func() (*program.Program, error) {
-			return program.BuildTEA(key, hw)
-		})
-		add(fmt.Sprintf("tea-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildTEADecrypt(key, hw)
-		})
-	}
-	for _, hw := range []int{1, 2, 4, 11, 22, 44} {
-		hw := hw
-		add(fmt.Sprintf("simon64-%d", hw), func() (*program.Program, error) {
-			return program.BuildSIMON(key, hw)
-		})
-		add(fmt.Sprintf("simon64-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildSIMONDecrypt(key, hw)
-		})
-	}
-	for _, hw := range []int{1, 2} {
-		hw := hw
-		add(fmt.Sprintf("blowfish-%d", hw), func() (*program.Program, error) {
-			return program.BuildBlowfish(key, hw)
-		})
-		add(fmt.Sprintf("blowfish-dec-%d", hw), func() (*program.Program, error) {
-			return program.BuildBlowfishDecrypt(key, hw)
-		})
-	}
-	add("des-1", func() (*program.Program, error) { return program.BuildDES(key[:8]) })
-	add("des-dec-1", func() (*program.Program, error) { return program.BuildDESDecrypt(key[:8]) })
 	return cases
 }
 

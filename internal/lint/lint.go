@@ -3,16 +3,8 @@
 // standard library only so the suite runs anywhere `go test` does — no
 // module downloads, no separate tool install.
 //
-// Four analyzers ship today:
+// Two analyzers ship today:
 //
-//   - deprecated: bans new callers of the deprecated program.Encrypt*
-//     wrappers anywhere outside package program (which declares and tests
-//     them). The Run consolidation migrated every caller; this keeps it
-//     that way.
-//   - farmnew: bans new callers of the deprecated positional farm.New
-//     constructor outside package farm. The scheduler redesign moved every
-//     caller to farm.Open(alg, key, farm.Options{...}); this keeps it
-//     that way.
 //   - hotpath: flags fmt calls and allocation-prone builtins (make, new,
 //     append) inside functions marked //cobra:hotpath — the fastpath
 //     executor's per-block loops, whose zero-allocation property the
@@ -36,7 +28,6 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -67,117 +58,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Deprecated, Farmnew, Hotpath, Hotpathpanic}
-}
-
-// deprecatedFuncs are the pre-Run program entry points kept only as
-// wrappers; see the Deprecated markers in internal/program.
-var deprecatedFuncs = map[string]bool{
-	"Encrypt":          true,
-	"EncryptInto":      true,
-	"EncryptBytes":     true,
-	"EncryptBytesInto": true,
-	"EncryptFastInto":  true,
-}
-
-// Deprecated bans new callers of the deprecated program.Encrypt* wrappers.
-// Calls inside package program itself are unqualified and therefore never
-// match — the declaring package keeps testing its own wrappers.
-var Deprecated = &Analyzer{
-	Name: "deprecated",
-	Doc:  "ban callers of the deprecated program.Encrypt* wrappers (use program.Run/RunBytes)",
-	Run: func(f *File) []Finding {
-		// The declaring package's own external tests exercise the wrappers
-		// on purpose (its internal files call them unqualified and never
-		// match the selector form below).
-		if f.AST.Name.Name == "program_test" {
-			return nil
-		}
-		// Resolve the local name the program package is imported under.
-		pkgName := ""
-		for _, imp := range f.AST.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != "cobra/internal/program" {
-				continue
-			}
-			pkgName = "program"
-			if imp.Name != nil {
-				pkgName = imp.Name.Name
-			}
-		}
-		if pkgName == "" || pkgName == "_" {
-			return nil
-		}
-		var fs []Finding
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != pkgName || !deprecatedFuncs[sel.Sel.Name] {
-				return true
-			}
-			fs = append(fs, Finding{
-				Pos:  f.Fset.Position(call.Pos()),
-				Code: "deprecated",
-				Msg:  fmt.Sprintf("call to deprecated %s.%s — use %s.Run/RunBytes", pkgName, sel.Sel.Name, pkgName),
-			})
-			return true
-		})
-		return fs
-	},
-}
-
-// Farmnew bans new callers of the deprecated positional farm.New
-// constructor (use farm.Open with a farm.Options). Package farm's own
-// files call New unqualified and never match the selector form, so the
-// declaring package keeps testing its deprecation shim.
-var Farmnew = &Analyzer{
-	Name: "farmnew",
-	Doc:  "ban callers of the deprecated farm.New constructor (use farm.Open + farm.Options)",
-	Run: func(f *File) []Finding {
-		pkgName := ""
-		for _, imp := range f.AST.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != "cobra/internal/farm" {
-				continue
-			}
-			pkgName = "farm"
-			if imp.Name != nil {
-				pkgName = imp.Name.Name
-			}
-		}
-		if pkgName == "" || pkgName == "_" {
-			return nil
-		}
-		var fs []Finding
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != pkgName || sel.Sel.Name != "New" {
-				return true
-			}
-			fs = append(fs, Finding{
-				Pos:  f.Fset.Position(call.Pos()),
-				Code: "farmnew",
-				Msg:  fmt.Sprintf("call to deprecated %s.New — use %s.Open with a %s.Options", pkgName, pkgName, pkgName),
-			})
-			return true
-		})
-		return fs
-	},
+	return []*Analyzer{Hotpath, Hotpathpanic}
 }
 
 // hotpathMarker is the magic comment that opts a function into the hotpath

@@ -25,112 +25,6 @@ func codes(fs []Finding) []string {
 	return out
 }
 
-func TestDeprecatedAnalyzer(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"direct call", `package x
-import "cobra/internal/program"
-func f() { program.Encrypt(nil, nil, nil) }
-`, 1},
-		{"renamed import", `package x
-import prog "cobra/internal/program"
-func f() { prog.EncryptFastInto(nil, nil, nil, nil, nil) }
-`, 1},
-		{"every wrapper", `package x
-import "cobra/internal/program"
-func f() {
-	program.Encrypt(nil, nil, nil)
-	program.EncryptInto(nil, nil, nil, nil)
-	program.EncryptBytes(nil, nil, nil)
-	program.EncryptBytesInto(nil, nil, nil, nil)
-	program.EncryptFastInto(nil, nil, nil, nil, nil)
-}
-`, 5},
-		{"run is fine", `package x
-import "cobra/internal/program"
-func f() { program.Run(nil, nil, nil, nil, program.Opts{}) }
-`, 0},
-		{"same name different package", `package x
-import program "example.com/other/program"
-func f() { program.Encrypt(nil) }
-`, 0}, // matched by import path, not by local name
-		{"declaring package's own tests exempt", `package program_test
-import "cobra/internal/program"
-func f() { program.EncryptInto(nil, nil, nil, nil) }
-`, 0},
-		{"no program import", `package x
-func Encrypt() {}
-func f() { Encrypt() }
-`, 0},
-		{"blank import", `package x
-import _ "cobra/internal/program"
-func f() {}
-`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := check(t, tc.src)
-			if len(fs) != tc.want {
-				t.Errorf("got %d findings %v, want %d", len(fs), fs, tc.want)
-			}
-			for _, f := range fs {
-				if f.Code != "deprecated" {
-					t.Errorf("unexpected analyzer %q: %v", f.Code, f)
-				}
-			}
-		})
-	}
-}
-
-func TestFarmnewAnalyzer(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"direct call", `package x
-import "cobra/internal/farm"
-func f() { farm.New("rijndael", nil, struct{}{}, 4) }
-`, 1},
-		{"renamed import", `package x
-import fm "cobra/internal/farm"
-func f() { fm.New("rijndael", nil, struct{}{}, 4) }
-`, 1},
-		{"open is fine", `package x
-import "cobra/internal/farm"
-func f() { farm.Open("rijndael", nil, farm.Options{Workers: 4}) }
-`, 0},
-		{"same name different package", `package x
-import farm "example.com/other/farm"
-func f() { farm.New() }
-`, 0}, // matched by import path, not by local name
-		{"declaring package unqualified", `package farm
-func f() { _, _ = New("rijndael", nil, struct{}{}, 4) }
-func New(a string, k []byte, c any, n int) (any, error) { return nil, nil }
-`, 0},
-		{"no farm import", `package x
-func New() {}
-func f() { New() }
-`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := check(t, tc.src)
-			if len(fs) != tc.want {
-				t.Errorf("got %d findings %v, want %d", len(fs), fs, tc.want)
-			}
-			for _, f := range fs {
-				if f.Code != "farmnew" {
-					t.Errorf("unexpected analyzer %q: %v", f.Code, f)
-				}
-			}
-		})
-	}
-}
-
 func TestHotpathAnalyzer(t *testing.T) {
 	cases := []struct {
 		name string
@@ -256,8 +150,7 @@ func f() { log.Print("not fatal") }
 
 // TestRepoIsClean runs the whole suite over the repository — the same gate
 // CI runs as `cobra-lint ./...`, kept inside `go test ./...` so it cannot
-// be skipped. This subsumes the old AST-walk deprecated-caller test that
-// lived in internal/program.
+// be skipped.
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -105,6 +105,23 @@ func TestDatapathRoundTrip(t *testing.T) {
 	}
 }
 
+// desSwap mirrors DES's host boundary between two datapaths: it swaps
+// the halves of every superblock (the Feistel swap-undo folded into
+// FP∘IP). Other ciphers pass through.
+func desSwap(name string, sbs []byte) []byte {
+	if name != "des" {
+		return sbs
+	}
+	out := make([]byte, len(sbs))
+	copy(out, sbs)
+	for i := 0; i < len(out); i += 16 {
+		for j := 0; j < 4; j++ {
+			out[i+j], out[i+4+j] = out[i+4+j], out[i+j]
+		}
+	}
+	return out
+}
+
 // TestDatapathRoundTrip64 drives the 64-bit-cipher corpus through its
 // encryption and decryption datapaths at every supported unroll depth,
 // pairing each encryptor depth with each decryptor depth so iterative and
@@ -112,49 +129,6 @@ func TestDatapathRoundTrip(t *testing.T) {
 // compared: the scratch lanes of the one-block-per-superblock mappings
 // legitimately carry round intermediates.
 func TestDatapathRoundTrip64(t *testing.T) {
-	ciphers := []struct {
-		name   string
-		depths []int
-		enc    func(hw int) (*Program, error)
-		dec    func(hw int) (*Program, error)
-		paired bool // two blocks per superblock: all 16 bytes are payload
-	}{
-		{"rc5", []int{1, 2, 3, 4, 6, 12},
-			func(hw int) (*Program, error) { return BuildRC5(testKey, hw, cipher.RC5Rounds) },
-			func(hw int) (*Program, error) { return BuildRC5Decrypt(testKey, hw, cipher.RC5Rounds) },
-			true},
-		{"tea", []int{1, 2, 4, 8, 16, 32},
-			func(hw int) (*Program, error) { return BuildTEA(testKey, hw) },
-			func(hw int) (*Program, error) { return BuildTEADecrypt(testKey, hw) },
-			false},
-		{"simon64", []int{1, 2, 4, 11, 22, 44},
-			func(hw int) (*Program, error) { return BuildSIMON(testKey, hw) },
-			func(hw int) (*Program, error) { return BuildSIMONDecrypt(testKey, hw) },
-			true},
-		{"blowfish", []int{1, 2},
-			func(hw int) (*Program, error) { return BuildBlowfish(testKey, hw) },
-			func(hw int) (*Program, error) { return BuildBlowfishDecrypt(testKey, hw) },
-			false},
-		{"des", []int{1},
-			func(hw int) (*Program, error) { return BuildDES(testKey[:8]) },
-			func(hw int) (*Program, error) { return BuildDESDecrypt(testKey[:8]) },
-			false},
-	}
-	// DES's host boundary swaps the halves between the datapaths (the
-	// Feistel swap-undo folded into FP∘IP); mirror it here.
-	desSwap := func(name string, sbs []byte) []byte {
-		if name != "des" {
-			return sbs
-		}
-		out := make([]byte, len(sbs))
-		copy(out, sbs)
-		for i := 0; i < len(out); i += 16 {
-			for j := 0; j < 4; j++ {
-				out[i+j], out[i+4+j] = out[i+4+j], out[i+j]
-			}
-		}
-		return out
-	}
 	payload := func(paired bool, sbs []byte) []byte {
 		if paired {
 			return sbs
@@ -165,24 +139,28 @@ func TestDatapathRoundTrip64(t *testing.T) {
 		}
 		return out
 	}
-	for _, c := range ciphers {
-		for _, eh := range c.depths {
-			pe, err := c.enc(eh)
+	for _, s := range Specs() {
+		if s.BlockSize != 8 {
+			continue
+		}
+		paired := s.BlocksPerSuperblock == 2
+		for _, eh := range s.Depths {
+			pe, err := s.Build(testKey, eh)
 			if err != nil {
-				t.Fatalf("%s-%d: %v", c.name, eh, err)
+				t.Fatalf("%s-%d: %v", s.Name, eh, err)
 			}
 			ct, _ := cobraEncryptECB(t, pe, testPlain)
-			ct = desSwap(c.name, ct)
-			for _, dh := range c.depths {
-				pd, err := c.dec(dh)
+			ct = desSwap(s.Name, ct)
+			for _, dh := range s.DecryptDepths {
+				pd, err := s.BuildDecrypt(testKey, dh)
 				if err != nil {
-					t.Fatalf("%s-dec-%d: %v", c.name, dh, err)
+					t.Fatalf("%s-dec-%d: %v", s.Name, dh, err)
 				}
 				pt, _ := cobraEncryptECB(t, pd, ct)
-				pt = desSwap(c.name, pt)
-				if !bytes.Equal(payload(c.paired, pt), payload(c.paired, testPlain)) {
+				pt = desSwap(s.Name, pt)
+				if !bytes.Equal(payload(paired, pt), payload(paired, testPlain)) {
 					t.Errorf("%s: enc depth %d / dec depth %d round trip failed",
-						c.name, eh, dh)
+						s.Name, eh, dh)
 				}
 			}
 		}
@@ -208,7 +186,8 @@ func TestRC6DecryptRandomized(t *testing.T) {
 		if err := Load(m, p); err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, ctRaw[:])
+		got := make([]byte, len(ctRaw))
+		_, err = RunBytes(m, p, got, ctRaw[:], Opts{})
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

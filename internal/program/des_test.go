@@ -85,7 +85,8 @@ func TestDESOnCOBRARandomized(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, sbs)
+		got := make([]byte, len(sbs))
+		_, err = RunBytes(m, p, got, sbs, Opts{})
 		if err != nil {
 			return false
 		}

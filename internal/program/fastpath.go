@@ -3,9 +3,7 @@ package program
 import (
 	"fmt"
 
-	"cobra/internal/bits"
 	"cobra/internal/fastpath"
-	"cobra/internal/sim"
 	"cobra/internal/vet"
 )
 
@@ -42,13 +40,4 @@ func (p *Program) Compile() (*fastpath.Exec, error) {
 		src.DeadElems = res.DeadMask(p.Geometry.Rows)
 	}
 	return fastpath.Compile(src)
-}
-
-// EncryptFastInto encrypts through the compiled executor when it is safe
-// and falls back to the cycle-accurate interpreter otherwise.
-//
-// Deprecated: use Run with Opts{Fast: ex}, which carries the same
-// fallback contract.
-func EncryptFastInto(ex *fastpath.Exec, m *sim.Machine, p *Program, dst, blocks []bits.Block128) (sim.Stats, error) {
-	return Run(m, p, dst, blocks, Opts{Fast: ex})
 }

@@ -30,7 +30,8 @@ func cobraEncryptECB(t *testing.T, p *Program, src []byte) ([]byte, sim.Stats) {
 	if err := Load(m, p); err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
-	out, stats, err := EncryptBytes(m, p, src)
+	out := make([]byte, len(src))
+	stats, err := RunBytes(m, p, out, src, Opts{})
 	if err != nil {
 		t.Fatalf("%s: encrypt: %v", p.Name, err)
 	}
@@ -94,7 +95,8 @@ func TestRC6OnCOBRARandomized(t *testing.T) {
 		if err := Load(m, p); err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, pt[:])
+		got := make([]byte, len(pt))
+		_, err = RunBytes(m, p, got, pt[:], Opts{})
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -191,7 +193,8 @@ func TestSerpentOnCOBRARandomized(t *testing.T) {
 		if err := Load(m, p); err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, pt[:])
+		got := make([]byte, len(pt))
+		_, err = RunBytes(m, p, got, pt[:], Opts{})
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -253,7 +256,7 @@ func TestEncryptBytesRejectsPartialBlocks(t *testing.T) {
 	if err := Load(m, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EncryptBytes(m, p, make([]byte, 15)); err == nil {
+	if _, err := RunBytes(m, p, make([]byte, 15), make([]byte, 15), Opts{}); err == nil {
 		t.Error("expected error for partial block")
 	}
 }
@@ -270,9 +273,9 @@ func TestEncryptEmptyInput(t *testing.T) {
 	if err := Load(m, p); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Encrypt(m, p, nil)
-	if err != nil || out != nil {
-		t.Errorf("empty input: out=%v err=%v", out, err)
+	stats, err := Run(m, p, nil, nil, Opts{})
+	if err != nil || stats != (sim.Stats{}) {
+		t.Errorf("empty input: stats=%+v err=%v", stats, err)
 	}
 }
 
@@ -296,14 +299,16 @@ func TestReloadBetweenKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := testPlain[:16]
-	got1, _, err := EncryptBytes(m, p1, pt)
+	got1 := make([]byte, len(pt))
+	_, err = RunBytes(m, p1, got1, pt, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Load(m, p2); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := EncryptBytes(m, p2, pt)
+	got2 := make([]byte, len(pt))
+	_, err = RunBytes(m, p2, got2, pt, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +342,8 @@ func TestStreamingMachineReuse(t *testing.T) {
 	}
 	for call := 0; call < 3; call++ {
 		pt := bytes.Repeat([]byte{byte(call + 1)}, 32)
-		got, _, err := EncryptBytes(m, p, pt)
+		got := make([]byte, len(pt))
+		_, err = RunBytes(m, p, got, pt, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +370,11 @@ func TestIterativeMachineReuseNoReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := bytes.Repeat([]byte{7}, 16)
-	if _, _, err := EncryptBytes(m, p, pt); err != nil {
+	if _, err := RunBytes(m, p, make([]byte, len(pt)), pt, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 	c1 := m.Stats().Cycles
-	if _, _, err := EncryptBytes(m, p, pt); err != nil {
+	if _, err := RunBytes(m, p, make([]byte, len(pt)), pt, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().Cycles <= c1 {

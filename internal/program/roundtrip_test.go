@@ -4,52 +4,30 @@ import (
 	"testing"
 
 	"cobra/internal/asm"
-	"cobra/internal/cipher"
 	"cobra/internal/isa"
 )
 
-// allPrograms builds every encryption and decryption configuration of the
-// evaluation sweep.
+// allPrograms builds every registered cipher at every legal unroll depth,
+// in both directions.
 func allPrograms(t *testing.T) []*Program {
 	t.Helper()
 	var out []*Program
-	add := func(p *Program, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range Specs() {
+		for _, hw := range s.Depths {
+			p, err := s.Build(testKey, hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
 		}
-		out = append(out, p)
+		for _, hw := range s.DecryptDepths {
+			p, err := s.BuildDecrypt(testKey, hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
 	}
-	for _, hw := range []int{1, 2, 4, 5, 10, 20} {
-		add(BuildRC6(testKey, hw, cipher.RC6Rounds))
-		add(BuildRC6Decrypt(testKey, hw, cipher.RC6Rounds))
-	}
-	for _, hw := range []int{1, 2, 5, 10} {
-		add(BuildRijndael(testKey, hw))
-		add(BuildRijndaelDecrypt(testKey, hw))
-	}
-	for _, hw := range []int{1, 2, 4, 8, 16, 32} {
-		add(BuildSerpent(testKey, hw))
-	}
-	add(BuildSerpentDecrypt(testKey))
-	for _, hw := range []int{1, 2, 3, 4, 6, 12} {
-		add(BuildRC5(testKey, hw, cipher.RC5Rounds))
-		add(BuildRC5Decrypt(testKey, hw, cipher.RC5Rounds))
-	}
-	for _, hw := range []int{1, 2, 4, 8, 16, 32} {
-		add(BuildTEA(testKey, hw))
-		add(BuildTEADecrypt(testKey, hw))
-	}
-	for _, hw := range []int{1, 2, 4, 11, 22, 44} {
-		add(BuildSIMON(testKey, hw))
-		add(BuildSIMONDecrypt(testKey, hw))
-	}
-	for _, hw := range []int{1, 2} {
-		add(BuildBlowfish(testKey, hw))
-		add(BuildBlowfishDecrypt(testKey, hw))
-	}
-	add(BuildDES(testKey[:8]))
-	add(BuildDESDecrypt(testKey[:8]))
 	return out
 }
 

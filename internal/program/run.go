@@ -122,46 +122,3 @@ func RunBytes(m *sim.Machine, p *Program, dst, src []byte, o Opts) (sim.Stats, e
 	}
 	return stats, nil
 }
-
-// Encrypt runs blocks through a loaded machine and returns the ciphertext
-// blocks together with the performance counters for the run.
-//
-// Deprecated: use Run with a caller-supplied destination. Kept as a thin
-// wrapper for one release of the stacked-PR sequence.
-func Encrypt(m *sim.Machine, p *Program, blocks []bits.Block128) ([]bits.Block128, sim.Stats, error) {
-	if len(blocks) == 0 {
-		return nil, sim.Stats{}, nil
-	}
-	out := make([]bits.Block128, len(blocks))
-	stats, err := Run(m, p, out, blocks, Opts{})
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	return out, stats, nil
-}
-
-// EncryptInto is Run without options.
-//
-// Deprecated: use Run.
-func EncryptInto(m *sim.Machine, p *Program, dst, blocks []bits.Block128) (sim.Stats, error) {
-	return Run(m, p, dst, blocks, Opts{})
-}
-
-// EncryptBytes is RunBytes allocating its destination.
-//
-// Deprecated: use RunBytes with a caller-supplied destination.
-func EncryptBytes(m *sim.Machine, p *Program, src []byte) ([]byte, sim.Stats, error) {
-	dst := make([]byte, len(src))
-	stats, err := RunBytes(m, p, dst, src, Opts{})
-	if err != nil {
-		return nil, stats, err
-	}
-	return dst, stats, nil
-}
-
-// EncryptBytesInto is RunBytes without options.
-//
-// Deprecated: use RunBytes.
-func EncryptBytesInto(m *sim.Machine, p *Program, dst, src []byte) (sim.Stats, error) {
-	return RunBytes(m, p, dst, src, Opts{})
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"cobra/internal/cipher"
 	"cobra/internal/isa"
 	"cobra/internal/sim"
 	"cobra/internal/vet"
@@ -14,33 +13,17 @@ import (
 // window size — the full lint-clean regression matrix.
 func allBuilders(t *testing.T) []*Program {
 	t.Helper()
-	var progs []*Program
+	progs := allPrograms(t)
 	add := func(p *Program, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		progs = append(progs, p)
 	}
-	for _, hw := range []int{1, 2, 4, 5, 10, 20} {
-		add(BuildRC6(testKey, hw, cipher.RC6Rounds))
-	}
-	for _, hw := range []int{1, 2, 5, 10} {
-		add(BuildRijndael(testKey, hw))
-	}
-	for _, hw := range []int{1, 2, 4, 8, 16, 32} {
-		add(BuildSerpent(testKey, hw))
-	}
 	for w := 1; w <= 16; w++ {
 		add(BuildSerpentWindowed(testKey, w))
 	}
 	add(BuildGOST(gostKey))
-	for _, hw := range []int{1, 2, 4, 5, 10, 20} {
-		add(BuildRC6Decrypt(testKey, hw, cipher.RC6Rounds))
-	}
-	for _, hw := range []int{1, 2, 5, 10} {
-		add(BuildRijndaelDecrypt(testKey, hw))
-	}
-	add(BuildSerpentDecrypt(testKey))
 	add(BuildRijndaelKeyed())
 	return progs
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"cobra/internal/cipher"
-	"cobra/internal/core"
+	"cobra/internal/program"
 	"cobra/internal/serve"
 	"cobra/internal/serve/client"
 )
@@ -37,18 +37,11 @@ func testMessage(n int) []byte {
 // response is checked against.
 func refBlock(t testing.TB, alg string, key []byte) cipher.Block {
 	t.Helper()
-	var blk cipher.Block
-	var err error
-	switch core.Algorithm(alg) {
-	case core.RC6:
-		blk, err = cipher.NewRC6(key)
-	case core.Rijndael:
-		blk, err = cipher.NewRijndael(key)
-	case core.Serpent:
-		blk, err = cipher.NewSerpentCOBRA(key)
-	default:
-		t.Fatalf("unknown algorithm %q", alg)
+	s, err := program.Lookup(alg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	blk, err := s.Reference(key)
 	if err != nil {
 		t.Fatal(err)
 	}
