@@ -14,7 +14,6 @@
 //	cobra-farm -alg serpent -workers 1,2,4,8,16  # other datapaths / pool sizes
 //	cobra-farm -mode ecb -rounds 2               # ECB sharding on an iterative pipeline
 //	cobra-farm -mode decrypt_cbc                 # parallel CBC decryption (Table 1 NFB)
-//	cobra-farm -policy roundrobin                # baseline placement, for comparison
 //	cobra-farm -metrics 127.0.0.1:9090 -hold 5m  # live /metrics + /debug/vars while sweeping
 package main
 
@@ -43,9 +42,6 @@ func main() {
 	blocks := flag.Int("blocks", 4096, "message size in 128-bit blocks")
 	workersCSV := flag.String("workers", "1,2,4,8", "comma-separated pool sizes to sweep")
 	mode := flag.String("mode", "ctr", "mode of operation: ctr, ecb, decrypt_ecb or decrypt_cbc")
-	policy := flag.String("policy", "affinity", "scheduler policy: affinity or roundrobin")
-	minWorkers := flag.Int("min-workers", 0, "quiesce floor for idle workers (0: default)")
-	queueDepth := flag.Int("queue-depth", 0, "per-worker shard queue depth (0: default)")
 	keyHex := flag.String("key", strings.Repeat("00", 16), "key (hex)")
 	ivHex := flag.String("iv", strings.Repeat("00", 16), "initial counter block / IV (hex)")
 	timeout := flag.Duration("timeout", 0, "per-sweep-point deadline (0: none)")
@@ -103,20 +99,17 @@ func main() {
 		fmt.Printf("metrics: serving on %s\n", srv.URL)
 	}
 
-	fmt.Printf("cobra-farm: %s-%s, %d blocks (%d KiB), shard cap %d blocks, policy %s\n\n",
-		*alg, *mode, *blocks, len(msg)/1024, farm.DefaultShardBlocks, *policy)
+	fmt.Printf("cobra-farm: %s-%s, %d blocks (%d KiB), shard cap %d blocks\n\n",
+		*alg, *mode, *blocks, len(msg)/1024, farm.DefaultShardBlocks)
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "workers\tjobs\twall cycles\tcyc/blk\tMbps (sim)\tspeedup\trecfg\thost ms")
 	base := 0.0
 	for _, n := range workers {
 		f, err := farm.Open(core.Algorithm(*alg), key, farm.Options{
-			Workers:    n,
-			MinWorkers: *minWorkers,
-			QueueDepth: *queueDepth,
-			Policy:     farm.Policy(*policy),
-			Metrics:    metrics,
-			Trace:      *trace,
-			Config:     core.Config{Unroll: *rounds},
+			Workers: n,
+			Metrics: metrics,
+			Trace:   *trace,
+			Config:  core.Config{Unroll: *rounds},
 		})
 		if err != nil {
 			fatal(err)

@@ -33,8 +33,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7316", "listen address (port 0 picks one)")
 	backend := flag.String("backend", "device", "backend per configuration: device or farm")
 	workers := flag.Int("workers", 4, "shared worker-pool width (farm backend only)")
-	minWorkers := flag.Int("min-workers", 0, "idle-quiesce floor for the pool (farm backend only; 0: default)")
-	schedPolicy := flag.String("sched", "affinity", "pool scheduling policy: affinity or roundrobin (farm backend only)")
 	cache := flag.Int("cache", 8, "max configured backends kept in the LRU")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent requests per backend (0: 1 for device, workers for farm)")
 	maxWaiters := flag.Int("max-waiters", 0, "requests queued per backend before BUSY (0: 2x max-inflight)")
@@ -52,8 +50,6 @@ func main() {
 	opts := serve.Options{
 		Backend:     *backend,
 		Workers:     *workers,
-		MinWorkers:  *minWorkers,
-		SchedPolicy: *schedPolicy,
 		MaxBackends: *cache,
 		MaxInflight: *maxInflight,
 		MaxWaiters:  *maxWaiters,

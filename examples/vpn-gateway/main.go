@@ -43,11 +43,7 @@ func main() {
 	// device runs the full-length pipeline (unroll 0) — the
 	// configuration the paper shows meets the ATM requirement for all
 	// three ciphers.
-	gw, err := serve.NewServer(serve.Options{
-		Backend:     "farm",
-		Workers:     4,
-		SchedPolicy: "affinity",
-	})
+	gw, err := serve.NewServer(serve.Options{Backend: "farm", Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,8 @@
 // Every mode method takes a context (the unified Cipher surface, see
 // cipher.go) and every Device carries an internal/obs registry: per-mode
 // request/latency series, engine and fallback counters, and the simulator
-// counters themselves, attachable to a parent registry via Config.Metrics
-// for live /metrics export. Report and Summary are views over that
+// counters themselves; its owner attaches Obs() to a parent registry for
+// live /metrics export. Report and Summary are views over that
 // registry — there is no second set of books.
 package core
 
@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"cobra/internal/bits"
-	"cobra/internal/cipher"
 	"cobra/internal/datapath"
 	"cobra/internal/fastpath"
 	"cobra/internal/model"
@@ -88,17 +87,6 @@ type Config struct {
 	// corpus gate — but recommended wherever microcode arrives from outside
 	// the build (cobrad tenants, assembled .casm files).
 	Validate bool
-	// Metrics, when non-nil, is the parent obs registry the device's own
-	// registry is attached to — typically obs.Default in a binary that
-	// serves /metrics. Nil keeps the device's registry detached (hermetic:
-	// nothing leaks into process-global export), which is the right
-	// default for tests. Ignored by Reconfigure, which keeps the device's
-	// existing registry and attachment.
-	Metrics *obs.Registry
-	// Trace, when positive, enables the per-call span trace ring of that
-	// many records on the device's registry (see obs.Registry.EnableTrace
-	// and the /debug/trace endpoint). Ignored by Reconfigure.
-	Trace int
 }
 
 // Device is one COBRA chip with loaded microcode.
@@ -116,7 +104,6 @@ type Device struct {
 	prog    *program.Program
 	machine *sim.Machine
 	timing  model.Timing
-	ref     cipher.Block
 	key     []byte
 	met     *deviceMetrics
 
@@ -159,32 +146,22 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := s.Reference(key)
-	if err != nil {
-		return nil, err
-	}
 	m, err := program.NewMachine(p)
 	if err != nil {
 		return nil, err
 	}
 	met := newDeviceMetrics(alg)
-	if cfg.Trace > 0 {
-		met.reg.EnableTrace(cfg.Trace)
-	}
 	// The machine-level observer feeds the cobra_sim_* family: interpreter
 	// machine activity including the setup/configuration phase. Fastpath
 	// runs never touch the machine, so the device-level
 	// cobra_device_*_total mirrors (fed by encryptInto across both
 	// engines) are the bulk-encryption source of truth.
 	m.Obs = sim.NewObserver(met.reg)
-	d := &Device{spec: s, prog: p, machine: m, ref: ref,
+	d := &Device{spec: s, prog: p, machine: m,
 		key: append([]byte(nil), key...), interpOnly: cfg.Interpreter,
 		validate: cfg.Validate, met: met}
 	if err := d.load(); err != nil {
 		return nil, err
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Attach(met.reg)
 	}
 	return d, nil
 }
@@ -289,9 +266,7 @@ func (d *Device) scratch(n int) []bits.Block128 {
 // exported counters stay monotonic across the switch, the info series
 // flips to the new algorithm, and the Report view resets.
 func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
-	ncfg := cfg
-	ncfg.Metrics, ncfg.Trace = nil, 0
-	nd, err := Configure(alg, key, ncfg)
+	nd, err := Configure(alg, key, cfg)
 	if err != nil {
 		return err
 	}
@@ -313,7 +288,7 @@ func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 		// decryption datapath is dropped and rebuilt lazily for the new
 		// algorithm/key, and the compiled trace is replaced by the new
 		// configuration's (nd already compiled it — no second recording).
-		d.spec, d.prog, d.ref, d.key = nd.spec, nd.prog, nd.ref, nd.key
+		d.spec, d.prog, d.key = nd.spec, nd.prog, nd.key
 		d.decProg, d.decMachine = nil, nil
 		d.interpOnly, d.validate = nd.interpOnly, nd.validate
 		if err := program.Load(d.machine, d.prog); err != nil {
@@ -353,18 +328,6 @@ func (d *Device) EncryptECB(ctx context.Context, src []byte) ([]byte, error) {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// EncryptBlocks encrypts 128-bit blocks in place of the byte API.
-func (d *Device) EncryptBlocks(ctx context.Context, blocks []bits.Block128) ([]bits.Block128, error) {
-	if len(blocks) == 0 {
-		return nil, nil
-	}
-	out := make([]bits.Block128, len(blocks))
-	if _, err := d.encryptInto(ctx, out, blocks); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // EncryptECBInto is EncryptECB writing into a caller-supplied buffer
@@ -679,20 +642,6 @@ func (d *Device) buildDecryptor() error {
 	}
 	d.decProg, d.decMachine = p, m
 	return nil
-}
-
-// DecryptECBHost decrypts with the host-side reference implementation
-// (the external system of the paper's protocol), useful for cross-checking
-// the datapath.
-func (d *Device) DecryptECBHost(src []byte) ([]byte, error) {
-	if len(src)%16 != 0 {
-		return nil, fmt.Errorf("core: input length %d is not a multiple of the block size", len(src))
-	}
-	dst := make([]byte, len(src))
-	for i := 0; i < len(src); i += 16 {
-		d.ref.Decrypt(dst[i:], src[i:])
-	}
-	return dst, nil
 }
 
 // Report summarizes a device's measured and modeled performance: the

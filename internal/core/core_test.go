@@ -226,7 +226,8 @@ func TestDescribeAndMicrocode(t *testing.T) {
 
 func TestDatapathDecryptionAllAlgorithms(t *testing.T) {
 	// DecryptECB runs on the datapath (not the host reference); it must
-	// agree with the host path and invert the datapath encryption.
+	// invert the datapath encryption, whose ciphertext must match the
+	// registry's host reference cipher.
 	pt := bytes.Repeat([]byte{0x77, 0x31}, 24)
 	for _, alg := range []Algorithm{RC6, Rijndael, Serpent} {
 		d, err := Configure(alg, key, Config{Unroll: 2})
@@ -237,16 +238,20 @@ func TestDatapathDecryptionAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := hostRef(t, alg, key)
+		want := make([]byte, len(pt))
+		for i := 0; i < len(pt); i += 16 {
+			ref.Encrypt(want[i:], pt[i:])
+		}
+		if !bytes.Equal(ct, want) {
+			t.Errorf("%s: datapath ciphertext differs from the host reference", alg)
+		}
 		got, err := d.DecryptECB(context.Background(), ct)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		host, err := d.DecryptECBHost(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pt) || !bytes.Equal(host, pt) {
-			t.Errorf("%s: datapath/host decryption mismatch", alg)
+		if !bytes.Equal(got, pt) {
+			t.Errorf("%s: datapath decryption does not invert encryption", alg)
 		}
 	}
 }

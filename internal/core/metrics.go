@@ -59,11 +59,11 @@ var statMetricHelp = [statCount]string{
 }
 
 // deviceMetrics is a Device's instrumentation: every series lives in one
-// obs.Registry per device, attachable to a parent (Config.Metrics) for
-// export and detached by default so tests stay hermetic. All update paths
-// are atomic-counter writes — no locks, no allocations — which is what
-// lets farm.Report read a device's counters while its worker goroutine
-// encrypts.
+// obs.Registry per device, detached by default so tests stay hermetic;
+// the owner attaches it for export with parent.Attach(d.Obs()). All
+// update paths are atomic-counter writes — no locks, no allocations —
+// which is what lets farm.Report read a device's counters while its
+// worker goroutine encrypts.
 type deviceMetrics struct {
 	reg *obs.Registry
 

@@ -135,10 +135,11 @@ func TestDeviceContextCancelled(t *testing.T) {
 // registry).
 func TestDeviceMetricsAttach(t *testing.T) {
 	parent := obs.NewRegistry(obs.L("app", "test"))
-	d, err := Configure(RC6, key, Config{Unroll: 2, Metrics: parent})
+	d, err := Configure(RC6, key, Config{Unroll: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parent.Attach(d.Obs())
 	if _, err := d.EncryptECB(context.Background(), make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestFarmCancellationCounters(t *testing.T) {
 // whole tree from the parent.
 func TestFarmMetricsExport(t *testing.T) {
 	parent := obs.NewRegistry()
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1, Metrics: parent}})
+	f, err := Open(core.Rijndael, key, Options{Workers: 2, Metrics: parent, Config: core.Config{Unroll: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,10 @@
 // cores and programmable-hardware crypto kernels (PAPERS.md).
 //
 // Dispatch is program-aware (see pool.go): shards are placed on workers
-// whose device already holds the tenant's compiled program, idle workers
-// steal work — same-program first — and the active worker set scales
-// elastically with load. A Pool can be shared by many tenants (the
-// cobrad deployment shape: Pool.Open per tenant key), or owned by a
-// single Farm via Open/New. Workers write ciphertext directly into
+// whose device already holds the tenant's compiled program, and idle
+// workers steal work — same-program first. A Pool can be shared by many
+// tenants (the cobrad deployment shape: Pool.Open per tenant key), or
+// owned by a single Farm via Open. Workers write ciphertext directly into
 // disjoint regions of the caller's destination buffer, so reassembly is
 // ordered by construction, and each job carries its caller's context so
 // cancellation and timeouts short-circuit queued work.
@@ -53,9 +52,15 @@ var ErrClosed = errors.New("farm: closed")
 // fill-and-drain per shard on streaming configurations.
 const DefaultShardBlocks = 1024
 
-// workerQueueDepth is the default per-worker queue capacity; dispatch
-// blocks (backpressure) once a worker is this many shards behind.
+// workerQueueDepth is the per-worker queue capacity; dispatch blocks
+// (backpressure) once a worker is this many shards behind.
 const workerQueueDepth = 2
+
+// stealBacklog is the minimum queue depth of a victim worker before an
+// idle worker performs a cross-program steal — a steal that costs the
+// thief a reconfiguration, so it only pays off against a real backlog.
+// Same-program steals have no threshold.
+const stealBacklog = 2
 
 type mode int
 
@@ -124,7 +129,7 @@ type Farm struct {
 
 	alg  core.Algorithm
 	key  []byte
-	wcfg core.Config // per-worker device config (no Metrics/Trace)
+	wcfg core.Config // per-worker device config
 	pk   progKey
 
 	mhz      float64
@@ -171,18 +176,15 @@ func Open(alg core.Algorithm, key []byte, opts Options) (*Farm, error) {
 
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
-// cfg's Metrics and Trace fields are ignored (those are pool-level
-// options); Unroll, Interpreter, and Validate configure the tenant's
-// devices. The key and config are validated eagerly by configuring a
-// probe device, which is donated to an idle worker when one is free to
-// take it (warming the tenant's first placement).
+// cfg configures the tenant's devices. The key and config are validated
+// eagerly by configuring a probe device, which is donated to an idle
+// worker when one is free to take it (warming the tenant's first
+// placement).
 //
 // Closing a tenant Farm does not close a shared pool; closing the pool
 // invalidates its tenants.
 func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, error) {
-	wcfg := cfg
-	wcfg.Metrics, wcfg.Trace = nil, 0
-	probe, err := core.Configure(alg, key, wcfg)
+	probe, err := core.Configure(alg, key, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("farm: configuring device: %w", err)
 	}
@@ -190,13 +192,13 @@ func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, err
 		pool: p,
 		alg:  alg,
 		key:  append([]byte(nil), key...),
-		wcfg: wcfg,
+		wcfg: cfg,
 		pk: progKey{
 			alg:      alg,
-			unroll:   wcfg.Unroll,
+			unroll:   cfg.Unroll,
 			key:      string(key),
-			interp:   wcfg.Interpreter,
-			validate: wcfg.Validate,
+			interp:   cfg.Interpreter,
+			validate: cfg.Validate,
 		},
 		fastpath: probe.UsesFastpath(),
 		slots:    make([]tenantSlot, len(p.workers)),
@@ -246,8 +248,8 @@ func (f *Farm) Workers() int { return f.pool.Workers() }
 // Pool returns the worker pool this tenant dispatches to.
 func (f *Farm) Pool() *Pool { return f.pool }
 
-// Obs returns the farm's metrics registry. For a pool-owning Farm (Open
-// or New) this is the pool registry — scheduler series, worker device
+// Obs returns the farm's metrics registry. For a pool-owning Farm (Open)
+// this is the pool registry — scheduler series, worker device
 // subtrees, and the tenant's request counters all in one tree, exactly
 // the shape the pre-scheduler farm exported. For a tenant on a shared
 // pool it is the tenant's own registry (per-mode request/error
@@ -286,13 +288,13 @@ func (f *Farm) account(idx int, st sim.Stats, busyNs int64) {
 type span struct{ off, end int }
 
 // shards splits n bytes into contiguous block-aligned spans: one per
-// worker when the message is small, capped at the pool's ShardBlocks so
+// worker when the message is small, capped at the pool's shardBlocks so
 // large messages pipeline through the queues.
 func (f *Farm) shards(n int) []span {
 	nb := (n + 15) / 16
 	per := (nb + f.pool.Workers() - 1) / f.pool.Workers()
-	if per > f.pool.opts.ShardBlocks {
-		per = f.pool.opts.ShardBlocks
+	if per > f.pool.shardBlocks {
+		per = f.pool.shardBlocks
 	}
 	var out []span
 	for off := 0; off < n; off += per * 16 {
@@ -502,7 +504,7 @@ func (f *Farm) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Close invalidates the tenant; for a pool-owning Farm (Open/New) it
+// Close invalidates the tenant; for a pool-owning Farm (Open) it
 // also drains and stops the workers and detaches the registry from its
 // Metrics parent. Calls already dispatching finish normally; calls made
 // after Close return ErrClosed. Idempotent.

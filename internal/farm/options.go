@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"time"
 
 	"cobra/internal/core"
 	"cobra/internal/obs"
@@ -12,48 +11,28 @@ import (
 type Policy string
 
 const (
-	// PolicyAffinity is the program-aware elastic scheduler: shards are
-	// placed on workers whose device already holds the tenant's compiled
+	// PolicyAffinity is the program-aware scheduler: shards are placed
+	// on workers whose device already holds the tenant's compiled
 	// program (so consecutive jobs skip reconfiguration — the
 	// batch-to-amortize-setup story of the RC4 bytes-per-clock paper,
-	// applied to array reconfiguration), idle workers steal from deep
-	// queues, and the active worker set grows under sustained depth and
-	// quiesces when idle.
+	// applied to array reconfiguration), and idle workers steal from
+	// busy siblings' queues.
 	PolicyAffinity Policy = "affinity"
-	// PolicyRoundRobin is the legacy fixed-rotation dispatcher: every
-	// worker stays active and shards rotate over the pool regardless of
-	// which program each device holds. It remains selectable as the
-	// control arm of the scheduler benchmark.
+	// PolicyRoundRobin is the legacy fixed-rotation dispatcher: shards
+	// rotate over the pool regardless of which program each device
+	// holds. It is the control arm of the scheduler benchmark
+	// (internal/bench).
 	PolicyRoundRobin Policy = "roundrobin"
 )
 
 // Options configures a worker pool. The zero value is usable: every
 // field has a default, applied by the constructors.
 type Options struct {
-	// Workers is the pool size — the number of replicated devices and
-	// the upper bound of the active set. Default 4.
+	// Workers is the pool size — the number of replicated devices.
+	// Default 4.
 	Workers int
-	// MinWorkers is the autoscaler's floor: quiescing never parks below
-	// this many active workers. Default 1; clamped to [1, Workers].
-	MinWorkers int
-	// QueueDepth is each worker's queue capacity; dispatch blocks
-	// (backpressure) once a worker is this many shards behind. Default
-	// workerQueueDepth (2).
-	QueueDepth int
-	// ShardBlocks caps a shard at this many 128-bit blocks. Default
-	// DefaultShardBlocks (1024).
-	ShardBlocks int
 	// Policy selects the dispatch discipline. Default PolicyAffinity.
 	Policy Policy
-	// IdleQuiesce is how long a worker idles before the autoscaler parks
-	// it (it reactivates on demand at placement time). Default 250ms;
-	// negative disables quiescing.
-	IdleQuiesce time.Duration
-	// StealBacklog is the minimum queue depth of a victim worker before
-	// an idle worker performs a cross-program steal — a steal that costs
-	// the thief a reconfiguration, so it only pays off against a real
-	// backlog. Same-program steals have no threshold. Default 2.
-	StealBacklog int
 	// Metrics, when non-nil, is the parent registry the pool's registry
 	// attaches to (and detaches from on Close).
 	Metrics *obs.Registry
@@ -61,10 +40,9 @@ type Options struct {
 	// capacity.
 	Trace int
 	// Config is the tenant device configuration used by the
-	// single-tenant constructors Open and New (unroll, interpreter,
-	// validate; its Metrics/Trace fields are hoisted into the pool
-	// options when the pool-level fields are unset). Ignored by NewPool,
-	// where each Pool.Open call carries its own core.Config.
+	// single-tenant constructor Open (unroll, interpreter, validate).
+	// Ignored by NewPool, where each Pool.Open call carries its own
+	// core.Config.
 	Config core.Config
 }
 
@@ -76,42 +54,12 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Workers < 0 {
 		return o, fmt.Errorf("farm: need at least 1 worker, got %d", o.Workers)
 	}
-	if o.MinWorkers <= 0 {
-		o.MinWorkers = 1
-	}
-	if o.MinWorkers > o.Workers {
-		o.MinWorkers = o.Workers
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = workerQueueDepth
-	}
-	if o.QueueDepth < 0 {
-		return o, fmt.Errorf("farm: queue depth must be positive, got %d", o.QueueDepth)
-	}
-	if o.ShardBlocks == 0 {
-		o.ShardBlocks = DefaultShardBlocks
-	}
-	if o.ShardBlocks < 0 {
-		return o, fmt.Errorf("farm: shard blocks must be positive, got %d", o.ShardBlocks)
-	}
 	switch o.Policy {
 	case "":
 		o.Policy = PolicyAffinity
 	case PolicyAffinity, PolicyRoundRobin:
 	default:
 		return o, fmt.Errorf("farm: unknown scheduler policy %q", o.Policy)
-	}
-	if o.IdleQuiesce == 0 {
-		o.IdleQuiesce = 250 * time.Millisecond
-	}
-	if o.StealBacklog <= 0 {
-		o.StealBacklog = 2
-	}
-	if o.Metrics == nil {
-		o.Metrics = o.Config.Metrics
-	}
-	if o.Trace == 0 {
-		o.Trace = o.Config.Trace
 	}
 	return o, nil
 }

@@ -1,4 +1,4 @@
-// The worker pool and its program-aware elastic scheduler.
+// The worker pool and its program-aware scheduler.
 //
 // A Pool owns N workers, each the exclusive driver of one core.Device
 // (a sim.Machine is single-threaded silicon). Tenants — Farm values
@@ -9,12 +9,10 @@
 // so the scheduler's whole job is to amortize it: keep each worker on
 // its bound program as long as there is same-program work, steal
 // same-program work from a sibling's queue before anything else, and
-// only pay a reconfiguration when a genuine backlog (StealBacklog) or a
-// cold tenant justifies it. The active worker set is elastic: placement
-// wakes parked workers on demand (scale-up) and a worker that idles past
-// IdleQuiesce parks itself down to the MinWorkers floor, so a
-// multi-tenant cobrad deployment doesn't burn cycles polling on behalf
-// of cold tenants.
+// only pay a reconfiguration when a genuine backlog (stealBacklog) or a
+// cold tenant justifies it. An idle worker blocks on its wake channel
+// and keeps its configured device, so idling costs neither cycles nor a
+// later reconfiguration.
 package farm
 
 import (
@@ -43,7 +41,7 @@ type progKey struct {
 // and its slice of the run queue.
 //
 // Two domains of state coexist here. Scheduler state (q, bound/boundSet,
-// running, active, loaded/loadedSet) is guarded by Pool.mu. Device state
+// running, loaded/loadedSet) is guarded by Pool.mu. Device state
 // (dev) is touched only by the worker's own goroutine after startup —
 // the one exception is Pool.Open gifting its probe device to an idle
 // device-less worker, which happens under mu while the worker provably
@@ -59,7 +57,6 @@ type worker struct {
 	loaded    progKey // program actually on the device
 	loadedSet bool
 	running   bool
-	active    bool
 
 	dev *core.Device
 
@@ -85,8 +82,6 @@ type poolMetrics struct {
 	stealsX    *obs.Counter
 	rebinds    *obs.Counter
 	reconfigs  *obs.Counter
-	scaleUps   *obs.Counter
-	quiesces   *obs.Counter
 }
 
 func newPoolMetrics(reg *obs.Registry) *poolMetrics {
@@ -107,10 +102,6 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 			"Workers re-routed from one program to another by placement or stealing."),
 		reconfigs: reg.Counter("cobra_farm_reconfigures_total",
 			"Device reconfigurations paid to switch a worker's loaded program."),
-		scaleUps: reg.Counter("cobra_farm_scale_ups_total",
-			"Parked workers reactivated by placement demand."),
-		quiesces: reg.Counter("cobra_farm_quiesces_total",
-			"Workers parked by the autoscaler after idling past IdleQuiesce."),
 	}
 }
 
@@ -122,14 +113,15 @@ type SchedStats struct {
 	CrossSteals   int64 `json:"cross_steals"`
 	Rebinds       int64 `json:"rebinds"`
 	Reconfigures  int64 `json:"reconfigures"`
-	ScaleUps      int64 `json:"scale_ups"`
-	Quiesces      int64 `json:"quiesces"`
 }
 
 // Pool is a set of workers shared by any number of tenants (Farms).
 // Every method is safe for concurrent use.
 type Pool struct {
 	opts Options
+	// shardBlocks caps a shard's size in blocks: DefaultShardBlocks,
+	// which tests shrink to force many shard boundaries.
+	shardBlocks int
 
 	reg    *obs.Registry
 	parent *obs.Registry // detached on Close
@@ -141,9 +133,8 @@ type Pool struct {
 	closeMu sync.RWMutex
 	closed  bool // guarded by closeMu
 
-	mu       sync.Mutex // scheduler state: queues, bindings, active set
+	mu       sync.Mutex // scheduler state: queues, bindings
 	workers  []*worker
-	active   int
 	rr       int           // roundrobin policy cursor
 	space    chan struct{} // closed+remade whenever queue capacity frees
 	draining bool
@@ -168,10 +159,11 @@ func NewPool(opts Options) (*Pool, error) {
 func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 	labels := append([]obs.Label{obs.L("backend", "farm")}, extra...)
 	p := &Pool{
-		opts:    o,
-		reg:     obs.NewRegistry(labels...),
-		space:   make(chan struct{}),
-		closeCh: make(chan struct{}),
+		opts:        o,
+		shardBlocks: DefaultShardBlocks,
+		reg:         obs.NewRegistry(labels...),
+		space:       make(chan struct{}),
+		closeCh:     make(chan struct{}),
 	}
 	if o.Trace > 0 {
 		p.reg.EnableTrace(o.Trace)
@@ -180,9 +172,8 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 	for i := 0; i < o.Workers; i++ {
 		wl := obs.L("worker", strconv.Itoa(i))
 		w := &worker{
-			idx:    i,
-			wake:   make(chan struct{}, 1),
-			active: true,
+			idx:  i,
+			wake: make(chan struct{}, 1),
 			jobs: p.reg.Counter("cobra_farm_worker_jobs_total",
 				"Jobs completed per worker.", wl),
 			errs: p.reg.Counter("cobra_farm_worker_errors_total",
@@ -200,15 +191,7 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 			}, wl)
 		p.workers = append(p.workers, w)
 	}
-	p.active = o.Workers
 	p.reg.Gauge("cobra_farm_workers", "Pool size.").Set(int64(o.Workers))
-	p.reg.GaugeFunc("cobra_farm_workers_active",
-		"Workers currently in the active set (not quiesced).",
-		func() int64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return int64(p.active)
-		})
 	if o.Metrics != nil {
 		p.parent = o.Metrics
 		p.parent.Attach(p.reg)
@@ -222,14 +205,6 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return len(p.workers) }
-
-// ActiveWorkers returns the current size of the active (non-quiesced)
-// worker set.
-func (p *Pool) ActiveWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.active
-}
 
 // Obs returns the pool's metrics registry: scheduler series plus every
 // worker's device registry under worker="N" labels.
@@ -252,7 +227,7 @@ func (p *Pool) QueueDepth() int {
 
 // QueueCapacity returns the total queued-shard capacity of the pool —
 // the saturation point of QueueDepth.
-func (p *Pool) QueueCapacity() int { return len(p.workers) * p.opts.QueueDepth }
+func (p *Pool) QueueCapacity() int { return len(p.workers) * workerQueueDepth }
 
 // SchedStats snapshots the scheduler counters.
 func (p *Pool) SchedStats() SchedStats {
@@ -263,8 +238,6 @@ func (p *Pool) SchedStats() SchedStats {
 		CrossSteals:   m.stealsX.Value(),
 		Rebinds:       m.rebinds.Value(),
 		Reconfigures:  m.reconfigs.Value(),
-		ScaleUps:      m.scaleUps.Value(),
-		Quiesces:      m.quiesces.Value(),
 	}
 }
 
@@ -282,12 +255,12 @@ func (p *Pool) place(ctx context.Context, j job, used []bool) error {
 			w.q = append(w.q, j)
 			wakeLocked(w)
 			// A shard queued behind a running worker is a steal
-			// opportunity: wake the idle active siblings so one of them
-			// can take it (the target itself won't look again until its
+			// opportunity: wake the idle siblings so one of them can
+			// take it (the target itself won't look again until its
 			// current job ends).
 			if w.running && p.opts.Policy == PolicyAffinity {
 				for _, o := range p.workers {
-					if o != w && o.active && o.idleLocked() {
+					if o != w && o.idleLocked() {
 						wakeLocked(o)
 					}
 				}
@@ -320,7 +293,7 @@ func (p *Pool) place(ctx context.Context, j job, used []bool) error {
 func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 	if p.opts.Policy == PolicyRoundRobin {
 		w := p.workers[p.rr%len(p.workers)]
-		if len(w.q) >= p.opts.QueueDepth {
+		if len(w.q) >= workerQueueDepth {
 			return nil
 		}
 		p.rr++
@@ -336,15 +309,12 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 // affinityLocked applies the affinity policy's preference order over the
 // workers not excluded by avoid (nil excludes none). The order encodes
 // the cost model — a reconfiguration (microcode compile + fastpath trace
-// recording) is worth avoiding above all else, and a parked worker that
-// still holds the program hot beats rebinding a live one:
+// recording) is worth avoiding above all else:
 //
-//  1. an idle active worker bound to pk (free: device is hot)
-//  2. a parked worker bound to pk (scale up, device still hot)
-//  3. an idle active worker with no binding yet (pays one cold
-//     configure, never a reconfigure)
-//  4. a parked unbound worker (scale up + cold configure)
-//  5. queue behind the least-loaded pk-bound worker with space
+//  1. an idle worker bound to pk (free: device is hot)
+//  2. an idle worker with no binding yet (pays one cold configure,
+//     never a reconfigure)
+//  3. queue behind the least-loaded pk-bound worker with space
 //
 // The remaining rules run only without an avoid set (the second pass)
 // AND when pk has no bound worker with room — rebinding another
@@ -358,38 +328,24 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 // no binding at all (more tenants than workers) may claim from anyone
 // rather than starve. Among claimable workers:
 //
-//  6. rebind an idle active claimable worker
-//  7. wake and rebind a parked claimable worker
-//  8. queue behind the least-loaded claimable worker with space
+//  4. rebind an idle claimable worker
+//  5. queue behind the least-loaded claimable worker with space
 func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	skip := func(w *worker) bool { return avoid != nil && avoid[w.idx] }
 	for _, w := range p.workers {
-		if !skip(w) && w.active && w.idleLocked() && w.boundSet && w.bound == pk {
+		if !skip(w) && w.idleLocked() && w.boundSet && w.bound == pk {
 			return w
 		}
 	}
 	for _, w := range p.workers {
-		if !skip(w) && !w.active && w.boundSet && w.bound == pk {
-			p.activateLocked(w)
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !skip(w) && w.active && w.idleLocked() && !w.boundSet {
-			w.bound, w.boundSet = pk, true
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !skip(w) && !w.active && !w.boundSet {
-			p.activateLocked(w)
+		if !skip(w) && w.idleLocked() && !w.boundSet {
 			w.bound, w.boundSet = pk, true
 			return w
 		}
 	}
 	var best *worker
 	for _, w := range p.workers {
-		if !skip(w) && w.active && w.boundSet && w.bound == pk && len(w.q) < p.opts.QueueDepth {
+		if !skip(w) && w.boundSet && w.bound == pk && len(w.q) < workerQueueDepth {
 			if best == nil || len(w.q) < len(best.q) {
 				best = w
 			}
@@ -415,21 +371,14 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 		return !w.boundSet || (w.bound != pk && counts[w.bound] >= need)
 	}
 	for _, w := range p.workers {
-		if w.active && w.idleLocked() && claim(w) {
-			p.rebindLocked(w, pk)
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !w.active && claim(w) {
-			p.activateLocked(w)
+		if w.idleLocked() && claim(w) {
 			p.rebindLocked(w, pk)
 			return w
 		}
 	}
 	best = nil
 	for _, w := range p.workers {
-		if claim(w) && len(w.q) < p.opts.QueueDepth {
+		if claim(w) && len(w.q) < workerQueueDepth {
 			if best == nil || len(w.q) < len(best.q) {
 				best = w
 			}
@@ -440,12 +389,6 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 		return best
 	}
 	return nil // wait: pk's fair share of the pool is already working for it
-}
-
-func (p *Pool) activateLocked(w *worker) {
-	w.active = true
-	p.active++
-	p.met.scaleUps.Inc()
 }
 
 func (p *Pool) rebindLocked(w *worker, pk progKey) {
@@ -464,7 +407,7 @@ func (p *Pool) rebindLocked(w *worker, pk progKey) {
 // on). Same-program steals (the victim's tail job runs on w without
 // reconfiguration) have no threshold; cross-program steals pay a
 // reconfiguration and therefore require the victim to be at least
-// StealBacklog deep. Stealing from the tail leaves the head for the
+// stealBacklog deep. Stealing from the tail leaves the head for the
 // victim, which preserves FIFO order per queue (order between shards of
 // one call is irrelevant — they write disjoint dst windows).
 func (p *Pool) pickLocked(w *worker) (job, bool) {
@@ -497,7 +440,7 @@ func (p *Pool) pickLocked(w *worker) (job, bool) {
 		}
 	}
 	for _, v := range p.workers {
-		if v == w || !v.running || len(v.q) < p.opts.StealBacklog {
+		if v == w || !v.running || len(v.q) < stealBacklog {
 			continue
 		}
 		if victim == nil || len(v.q) > len(victim.q) {
@@ -531,7 +474,8 @@ func (p *Pool) signalSpaceLocked() {
 }
 
 // runWorker is one worker goroutine: pick (or steal) a job, run it,
-// answer it, repeat; park when idle, exit when the pool drains on Close.
+// answer it, repeat; block on the wake channel when idle, exit when the
+// pool drains on Close.
 // The job's error is sent only after the worker has returned to the idle
 // state under mu, so a single sequential caller observes deterministic
 // placement (by the time dispatch returns, every worker it used is idle
@@ -559,43 +503,10 @@ func (p *Pool) runWorker(w *worker) {
 		if draining {
 			return
 		}
-		p.waitForWork(w)
-	}
-}
-
-// waitForWork blocks until placement signals this worker (or the pool
-// closes). Under the affinity policy a worker that idles past
-// IdleQuiesce parks itself — leaves the active set, down to the
-// MinWorkers floor — and keeps waiting; placement reactivates parked
-// workers on demand.
-func (p *Pool) waitForWork(w *worker) {
-	quiesce := p.opts.IdleQuiesce
-	if p.opts.Policy != PolicyAffinity || quiesce < 0 {
 		select {
 		case <-w.wake:
 		case <-p.closeCh:
 		}
-		return
-	}
-	t := time.NewTimer(quiesce)
-	defer t.Stop()
-	select {
-	case <-w.wake:
-		return
-	case <-p.closeCh:
-		return
-	case <-t.C:
-	}
-	p.mu.Lock()
-	if w.active && w.idleLocked() && p.active > p.opts.MinWorkers {
-		w.active = false
-		p.active--
-		p.met.quiesces.Inc()
-	}
-	p.mu.Unlock()
-	select {
-	case <-w.wake:
-	case <-p.closeCh:
 	}
 }
 

@@ -9,34 +9,29 @@ import (
 	"time"
 
 	"cobra/internal/core"
+	"cobra/internal/obs"
 )
 
 // TestOptionsDefaults pins the Options surface: zero values fill in,
-// invalid values error, and the deprecated New shim keeps its historical
-// validation.
+// set values pass through, and invalid values error.
 func TestOptionsDefaults(t *testing.T) {
 	o, err := Options{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 4 || o.MinWorkers != 1 || o.QueueDepth != workerQueueDepth ||
-		o.ShardBlocks != DefaultShardBlocks || o.Policy != PolicyAffinity || o.StealBacklog != 2 {
+	if o.Workers != 4 || o.Policy != PolicyAffinity || o.Metrics != nil || o.Trace != 0 || o.Config != (core.Config{}) {
 		t.Errorf("unexpected defaults: %+v", o)
+	}
+	parent := obs.NewRegistry()
+	set := Options{Workers: 3, Policy: PolicyRoundRobin, Metrics: parent, Trace: 16, Config: core.Config{Unroll: 2, Validate: true}}
+	if o, err := set.withDefaults(); err != nil || o != set {
+		t.Errorf("set options rewritten: %+v (%v)", o, err)
 	}
 	if _, err := (Options{Workers: -1}).withDefaults(); err == nil {
 		t.Error("negative workers accepted")
 	}
 	if _, err := (Options{Policy: "lifo"}).withDefaults(); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	if _, err := (Options{QueueDepth: -2}).withDefaults(); err == nil {
-		t.Error("negative queue depth accepted")
-	}
-	if _, err := (Options{ShardBlocks: -8}).withDefaults(); err == nil {
-		t.Error("negative shard blocks accepted")
-	}
-	if o, err := (Options{MinWorkers: 9, Workers: 2}).withDefaults(); err != nil || o.MinWorkers != 2 {
-		t.Errorf("MinWorkers not clamped to Workers: %+v (%v)", o, err)
 	}
 	if _, err := Open(core.Rijndael, key, Options{Policy: "bogus"}); err == nil {
 		t.Error("Open with a bogus policy accepted")
@@ -79,7 +74,7 @@ func TestFarmDecryptECBMatchesDevice(t *testing.T) {
 // TestFarmDecryptCBCShardBoundaries is the off-by-one regression test
 // for sharded CBC decryption: every shard after the first must take its
 // chaining IV from the ciphertext block immediately before its boundary.
-// A tiny ShardBlocks forces many boundaries, and odd message sizes place
+// A tiny shardBlocks forces many boundaries, and odd message sizes place
 // them away from powers of two; any boundary using the wrong block (or
 // the call IV) corrupts the first plaintext block of that shard.
 func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
@@ -95,10 +90,11 @@ func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shardBlocks := range []int{1, 2, 5} {
-			f, err := Open(core.Rijndael, key, Options{Workers: 3, ShardBlocks: shardBlocks})
+			f, err := Open(core.Rijndael, key, Options{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
+			f.pool.shardBlocks = shardBlocks
 			got, err := f.DecryptCBC(context.Background(), iv, ct)
 			f.Close()
 			if err != nil {
@@ -127,11 +123,12 @@ func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
 // stolen and completed by its sibling — the dispatch cannot finish
 // otherwise — and the steal is counted.
 func TestFarmSameProgramSteal(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, ShardBlocks: 64})
+	f, err := Open(core.Rijndael, key, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	f.pool.shardBlocks = 64
 	// Hold the first job of each worker at a gate: the dispatcher fills
 	// both queues behind the held jobs, then releasing only worker 0
 	// leaves worker 1 running with a backlog — which worker 0, once its
@@ -177,44 +174,6 @@ func TestFarmSameProgramSteal(t *testing.T) {
 	}
 	if st := f.pool.SchedStats(); st.Reconfigures != 0 {
 		t.Errorf("same-program steals paid %d reconfigurations, want 0", st.Reconfigures)
-	}
-}
-
-// TestFarmAutoscaleQuiesce checks the elastic worker set: an idle pool
-// parks down to MinWorkers, and demand reactivates parked workers.
-func TestFarmAutoscaleQuiesce(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 4, MinWorkers: 1, IdleQuiesce: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	iv := make([]byte, 16)
-	msg := testMessage(16 * 64)
-	want, err := f.EncryptCTR(context.Background(), iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for f.pool.ActiveWorkers() > 1 {
-		select {
-		case <-deadline:
-			t.Fatalf("pool never quiesced: %d workers active", f.pool.ActiveWorkers())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if st := f.pool.SchedStats(); st.Quiesces < 3 {
-		t.Errorf("Quiesces = %d, want >= 3", st.Quiesces)
-	}
-	// Demand wakes parked workers and the output stays correct.
-	got, err := f.EncryptCTR(context.Background(), iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("post-quiesce output diverges")
-	}
-	if st := f.pool.SchedStats(); st.ScaleUps == 0 {
-		t.Error("no scale-ups recorded after post-quiesce traffic")
 	}
 }
 
@@ -330,10 +289,10 @@ func TestPoolRoundRobinReconfigures(t *testing.T) {
 
 // TestPoolWorkStealingSoak is the -race soak for the scheduler: several
 // tenants hammer a small shared pool concurrently in every sharded mode,
-// every result verified, so placement, stealing, rebinding, autoscaling
-// and tenant accounting all interleave under the race detector.
+// every result verified, so placement, stealing, rebinding and tenant
+// accounting all interleave under the race detector.
 func TestPoolWorkStealingSoak(t *testing.T) {
-	p, err := NewPool(Options{Workers: 4, IdleQuiesce: 5 * time.Millisecond})
+	p, err := NewPool(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,10 @@ type Options struct {
 	Backend string
 	// Workers is the worker-pool width shared by every farm backend
 	// (default 4; ignored for "device"). One pool serves all tenant
-	// configurations: the scheduler keeps each worker's device bound to
-	// one (program, key) so tenant traffic avoids reconfigurations.
+	// configurations: the program-aware scheduler keeps each worker's
+	// device bound to one (program, key) so tenant traffic avoids
+	// reconfigurations.
 	Workers int
-	// MinWorkers is the floor the shared pool quiesces down to when
-	// idle (default 1; ignored for "device").
-	MinWorkers int
-	// SchedPolicy selects the pool's placement policy: "affinity"
-	// (default — program-aware, work stealing, elastic) or
-	// "roundrobin" (the baseline). Ignored for "device".
-	SchedPolicy string
 	// MaxBackends bounds the LRU of configured backends (default 8).
 	// Distinct (algorithm, key, unroll) triples beyond this evict the
 	// least-recently-used idle backend; if every cached backend is
@@ -62,7 +56,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// withDefaults normalizes an Options.
+// withDefaults validates an Options and fills in unset fields: zero
+// means "default", a negative count is an error.
 func (o Options) withDefaults() (Options, error) {
 	switch o.Backend {
 	case "":
@@ -71,13 +66,17 @@ func (o Options) withDefaults() (Options, error) {
 	default:
 		return o, fmt.Errorf("serve: unknown backend %q (want device or farm)", o.Backend)
 	}
-	if o.Workers <= 0 {
+	if o.Workers < 0 || o.MaxBackends < 0 || o.MaxInflight < 0 || o.MaxWaiters < 0 {
+		return o, fmt.Errorf("serve: negative count (workers %d, max backends %d, max inflight %d, max waiters %d)",
+			o.Workers, o.MaxBackends, o.MaxInflight, o.MaxWaiters)
+	}
+	if o.Workers == 0 {
 		o.Workers = 4
 	}
-	if o.MaxBackends <= 0 {
+	if o.MaxBackends == 0 {
 		o.MaxBackends = 8
 	}
-	if o.MaxInflight <= 0 {
+	if o.MaxInflight == 0 {
 		if o.Backend == "farm" {
 			o.MaxInflight = o.Workers
 		} else {
@@ -87,7 +86,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Backend == "device" {
 		o.MaxInflight = 1 // a Device is single-goroutine by contract
 	}
-	if o.MaxWaiters <= 0 {
+	if o.MaxWaiters == 0 {
 		o.MaxWaiters = 2 * o.MaxInflight
 	}
 	if o.MaxFrame == 0 {
@@ -143,11 +142,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.met = newServerMetrics(s.reg)
 	if opts.Backend == "farm" {
-		pool, err := farm.NewPool(farm.Options{
-			Workers:    opts.Workers,
-			MinWorkers: opts.MinWorkers,
-			Policy:     farm.Policy(opts.SchedPolicy),
-		})
+		pool, err := farm.NewPool(farm.Options{Workers: opts.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -125,6 +125,40 @@ func dial(t testing.TB, s *serve.Server) *client.Client {
 
 var testIV = testMessage(16)
 
+// TestServeOptionsValidation pins NewServer's count options: a negative
+// value is an error (cobrad exits 1 on it), zero selects the default,
+// and HELLO advertises the pool width actually built.
+func TestServeOptionsValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    serve.Options
+		workers uint16 // advertised in HELLO; 0: NewServer must refuse opts
+	}{
+		{"negative workers", serve.Options{Backend: "farm", Workers: -3}, 0},
+		{"negative max backends", serve.Options{MaxBackends: -1}, 0},
+		{"negative max inflight", serve.Options{Backend: "farm", MaxInflight: -2}, 0},
+		{"negative max waiters", serve.Options{MaxWaiters: -1}, 0},
+		{"zero workers", serve.Options{Backend: "farm"}, 4},
+		{"set workers", serve.Options{Backend: "farm", Workers: 3}, 3},
+		{"device", serve.Options{Workers: 3}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.workers == 0 {
+				s, err := serve.NewServer(tc.opts)
+				if err == nil {
+					s.Shutdown(context.Background())
+					t.Fatalf("NewServer accepted %+v", tc.opts)
+				}
+				return
+			}
+			c := dial(t, startServer(t, tc.opts))
+			if got := c.Hello().Workers; got != tc.workers {
+				t.Errorf("HELLO advertises %d workers, want %d", got, tc.workers)
+			}
+		})
+	}
+}
+
 // TestServeRoundTrips checks every mode round trip on a device backend
 // against the host reference ciphers, for all three paper datapaths.
 func TestServeRoundTrips(t *testing.T) {
