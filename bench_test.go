@@ -329,37 +329,50 @@ func BenchmarkBatchAblation(b *testing.B) {
 	b.ReportMetric(amortized, "cycles/blk(N=64)")
 }
 
-// BenchmarkFarmCTR measures the multi-device farm on the counter-mode
-// sharding workload across pool sizes. The headline metric is Mbps(sim) —
-// aggregate simulated throughput derived from the busiest worker's cycle
-// count — which must rise monotonically from 1 to 4 workers (the
-// replication payoff of Table 1's non-feedback column). Host ns/op
-// additionally improves with real cores (GOMAXPROCS permitting).
-func BenchmarkFarmCTR(b *testing.B) {
+// BenchmarkFarm is the farm's scaling sweep of record: one Rijndael
+// tenant (full unroll) on a fresh pool per point, fed 2048-block messages
+// in counter mode and in CBC decryption — both non-feedback modes of
+// Table 1, so both shard across the pool. The headline metrics are
+// wall-cyc/op, the busiest worker's simulated cycles per call, and
+// Mbps(sim), the aggregate simulated throughput they imply; both scale
+// with the pool (the replication payoff of Table 1's non-feedback
+// column). Host ns/op improves only with real cores (GOMAXPROCS
+// permitting).
+func BenchmarkFarm(b *testing.B) {
 	src := make([]byte, 16*2048)
 	for i := range src {
 		src[i] = byte(i * 31)
 	}
 	iv := make([]byte, 16)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			f, err := farm.Open(core.Rijndael, benchKey, farm.Options{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.EncryptCTR(context.Background(), iv, src); err != nil {
+	for _, mode := range []string{"ctr", "decrypt_cbc"} {
+		for _, workers := range []int{1, 2, 4, 8, 16} {
+			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
+				pool, err := farm.NewPool(farm.Options{Workers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			r := f.Report()
-			b.ReportMetric(r.EffectiveMbps, "Mbps(sim)")
-			b.ReportMetric(float64(r.WallCycles)/float64(b.N), "wall-cyc/op")
-		})
+				defer pool.Close()
+				f, err := pool.Open(core.Rijndael, benchKey, core.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				call := f.EncryptCTR
+				if mode == "decrypt_cbc" {
+					call = f.DecryptCBC
+				}
+				b.SetBytes(int64(len(src)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := call(context.Background(), iv, src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				r := f.Report()
+				b.ReportMetric(r.ThroughputMbps, "Mbps(sim)")
+				b.ReportMetric(float64(r.WallCycles)/float64(b.N), "wall-cyc/op")
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // The unified cipher API: one interface served by a single device and by
-// a multi-device farm, so applications scale from one simulated COBRA
-// part to a pool by swapping a constructor.
+// a tenant of a multi-device farm, so code written against it runs
+// unchanged on one simulated COBRA part (Configure) or on a pool
+// (farm.NewPool, then Pool.Open).
 package core
 
 import (

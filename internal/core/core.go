@@ -134,9 +134,22 @@ type Device struct {
 // the matching array geometry, loads the iRAM and runs the configuration
 // phase to the idle point.
 func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
+	d := &Device{met: newDeviceMetrics()}
+	if err := d.configure(alg, key, cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// configure builds the algorithm/key pair's program and loads it: onto
+// the device's own machine when the array geometry matches, else onto a
+// freshly tiled one. Either way the machine's observer feeds the device
+// registry, so the configuration phase is counted once in cobra_sim_*.
+// A build failure leaves the device untouched.
+func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	s, err := alg.spec()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	unroll := cfg.Unroll
 	if unroll == 0 {
@@ -144,40 +157,43 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	}
 	p, err := s.Build(key, unroll)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m, err := program.NewMachine(p)
-	if err != nil {
-		return nil, err
+	m := d.machine
+	if m == nil || p.Geometry != d.prog.Geometry {
+		if m, err = program.NewMachine(p); err != nil {
+			return err
+		}
+		// The machine-level observer feeds the cobra_sim_* family:
+		// interpreter machine activity including the setup/configuration
+		// phase. Fastpath runs never touch the machine, so the
+		// device-level cobra_device_*_total mirrors (fed by encryptInto
+		// across both engines) are the bulk-encryption source of truth.
+		// Counter lookups are get-or-create by name, so a re-tiled
+		// machine keeps counting into the same series.
+		m.Obs = sim.NewObserver(d.met.reg)
 	}
-	met := newDeviceMetrics(alg)
-	// The machine-level observer feeds the cobra_sim_* family: interpreter
-	// machine activity including the setup/configuration phase. Fastpath
-	// runs never touch the machine, so the device-level
-	// cobra_device_*_total mirrors (fed by encryptInto across both
-	// engines) are the bulk-encryption source of truth.
-	m.Obs = sim.NewObserver(met.reg)
-	d := &Device{spec: s, prog: p, machine: m,
-		key: append([]byte(nil), key...), interpOnly: cfg.Interpreter,
-		validate: cfg.Validate, met: met}
-	if err := d.load(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d.spec, d.prog, d.machine = s, p, m
+	d.key = append([]byte(nil), key...)
+	d.interpOnly, d.validate = cfg.Interpreter, cfg.Validate
+	// The decryption datapath is rebuilt lazily for the new key.
+	d.decProg, d.decMachine = nil, nil
+	d.met.setAlg(alg)
+	return d.load()
 }
 
 // load (re)loads the program, refreshes the timing analysis, and
 // (re)compiles the fastpath trace — any previously compiled trace is
 // invalidated, since it encodes the old program's configuration schedule.
 func (d *Device) load() error {
-	if err := program.Load(d.machine, d.prog); err != nil {
-		return err
-	}
-	d.timing = model.Analyze(d.machine.Array, model.DefaultDelays())
 	if d.fast != nil {
 		d.met.invalidations.Inc()
 	}
 	d.fast, d.fastErr = nil, nil
+	if err := program.Load(d.machine, d.prog); err != nil {
+		return err
+	}
+	d.timing = model.Analyze(d.machine.Array, model.DefaultDelays())
 	d.met.resetStats()
 	if !d.interpOnly {
 		d.fast, d.fastErr = d.prog.Compile()
@@ -260,51 +276,13 @@ func (d *Device) scratch(n int) []bits.Block128 {
 
 // Reconfigure switches the device to a new algorithm/key — the §1
 // algorithm-agility scenario. When the new configuration needs a different
-// array geometry the device is rebuilt (in hardware terms: a differently
+// array geometry the machine is rebuilt (in hardware terms: a differently
 // tiled part); with matching geometry only the microcode reloads. Either
 // way the device keeps its metrics registry (and any parent attachment):
 // exported counters stay monotonic across the switch, the info series
 // flips to the new algorithm, and the Report view resets.
 func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
-	nd, err := Configure(alg, key, cfg)
-	if err != nil {
-		return err
-	}
-	met := d.met
-	if d.fast != nil {
-		met.invalidations.Inc()
-	}
-	met.setAlg(alg)
-	if !nd.interpOnly {
-		if nd.fast != nil {
-			met.noteCompile(true, nd.fast.Elided())
-		} else {
-			met.noteCompile(false, 0)
-		}
-	}
-	met.resetStats()
-	if nd.prog.Geometry == d.prog.Geometry {
-		// Same silicon: reload microcode on the existing machine. The
-		// decryption datapath is dropped and rebuilt lazily for the new
-		// algorithm/key, and the compiled trace is replaced by the new
-		// configuration's (nd already compiled it — no second recording).
-		d.spec, d.prog, d.key = nd.spec, nd.prog, nd.key
-		d.decProg, d.decMachine = nil, nil
-		d.interpOnly, d.validate = nd.interpOnly, nd.validate
-		if err := program.Load(d.machine, d.prog); err != nil {
-			return err
-		}
-		d.timing = nd.timing
-		d.fast, d.fastErr = nd.fast, nd.fastErr
-		return nil
-	}
-	// New silicon: adopt the rebuilt device but keep the device-lifetime
-	// registry; the new machine's observer rebinds to it (counter lookups
-	// are get-or-create by name, so the same series keep counting).
-	nd.met = met
-	nd.machine.Obs = sim.NewObserver(met.reg)
-	*d = *nd
-	return nil
+	return d.configure(alg, key, cfg)
 }
 
 // Algorithm returns the configured algorithm.

@@ -101,7 +101,7 @@ type deviceMetrics struct {
 	info map[Algorithm]*obs.Gauge
 }
 
-func newDeviceMetrics(alg Algorithm) *deviceMetrics {
+func newDeviceMetrics() *deviceMetrics {
 	reg := obs.NewRegistry()
 	m := &deviceMetrics{reg: reg, info: make(map[Algorithm]*obs.Gauge)}
 	for md := opMode(0); md < opModeCount; md++ {
@@ -133,7 +133,6 @@ func newDeviceMetrics(alg Algorithm) *deviceMetrics {
 	for i := 0; i < statCount; i++ {
 		m.st[i] = reg.Counter(statMetricNames[i], statMetricHelp[i])
 	}
-	m.setAlg(alg)
 	return m
 }
 

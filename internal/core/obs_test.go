@@ -197,6 +197,42 @@ func TestReconfigureKeepsRegistry(t *testing.T) {
 	}
 }
 
+// TestReconfigureTicksOneConfigurationPhase pins the simulator tick
+// accounting of algorithm agility: a Reconfigure runs exactly one
+// configuration phase on the device's registry — the same ticks a fresh
+// Configure of the target pays — whether the geometry stays (rijndael
+// keeps its 20 rows) or changes (rc6 at full unroll needs 40).
+func TestReconfigureTicksOneConfigurationPhase(t *testing.T) {
+	key2 := bytes.Repeat([]byte{0x5A}, 16)
+	for _, tc := range []struct{ from, to Algorithm }{
+		{Rijndael, Rijndael},
+		{Rijndael, RC6},
+		{RC6, Rijndael},
+	} {
+		t.Run(string(tc.from)+"->"+string(tc.to), func(t *testing.T) {
+			fresh, err := Configure(tc.to, key2, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase := counterValue(t, fresh.Obs(), "cobra_sim_ticks_total")
+			if phase == 0 {
+				t.Fatal("configuration phase ran no ticks")
+			}
+			d, err := Configure(tc.from, key, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := counterValue(t, d.Obs(), "cobra_sim_ticks_total")
+			if err := d.Reconfigure(tc.to, key2, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := counterValue(t, d.Obs(), "cobra_sim_ticks_total") - before; got != phase {
+				t.Errorf("Reconfigure added %d ticks, want one configuration phase (%d)", got, phase)
+			}
+		})
+	}
+}
+
 // TestEncryptCTRIntoAllocFree is the device-level zero-allocation gate:
 // on a warmed device with an active fastpath, the CTR hot path — counter
 // staging, encryption, keystream XOR, and all instrumentation — performs

@@ -9,9 +9,9 @@ import (
 
 // TestReportJSONGolden pins the report wire format: the Summary embed and
 // the device-only fields marshal under stable snake_case keys, so
-// cobra-bench/cobra-farm JSON output and any downstream tooling never
-// silently re-key. Changing this golden string is an API break — do it
-// deliberately.
+// cobra-bench JSON output, the Summary in cobrad's STATS reply and any
+// downstream tooling never silently re-key. Changing this golden string
+// is an API break — do it deliberately.
 func TestReportJSONGolden(t *testing.T) {
 	r := Report{
 		Summary: Summary{

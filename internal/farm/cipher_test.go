@@ -64,11 +64,7 @@ func TestCipherBackendSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 1})
 
 	want := run(t, dev)
 	got := run(t, f)
@@ -110,11 +106,7 @@ func TestFarmCBCMatchesDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(core.Rijndael, key, Options{Workers: 4, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 4, core.Rijndael, core.Config{Unroll: 1})
 	got, err := f.EncryptCBC(context.Background(), iv, msg)
 	if err != nil {
 		t.Fatal(err)

@@ -42,11 +42,7 @@ func findSample(r *obs.Registry, name string, labels ...obs.Label) (obs.Sample, 
 // checks the error surfaces to the caller, the counters record it
 // consistently at both levels, and the farm keeps serving afterwards.
 func TestFarmWorkerErrorPropagation(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{Unroll: 1})
 	boom := errors.New("injected device fault")
 	f.pool.workers[0].fault = func(*job) error { return boom }
 	f.pool.workers[1].fault = func(*job) error { return boom }
@@ -57,7 +53,7 @@ func TestFarmWorkerErrorPropagation(t *testing.T) {
 		t.Fatalf("EncryptCTR err = %v, want the injected fault", err)
 	}
 
-	werrs, ok := findSample(f.Obs(), "cobra_farm_worker_errors_total")
+	werrs, ok := findSample(f.pool.Obs(), "cobra_farm_worker_errors_total")
 	if !ok {
 		t.Fatal("no worker error series")
 	}
@@ -94,11 +90,7 @@ func TestFarmWorkerErrorPropagation(t *testing.T) {
 // queue behind it — and checks the cancellation reaches the caller and
 // the skipped/failed shards are recorded as worker errors.
 func TestFarmCancellationCounters(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 1, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 1, core.Rijndael, core.Config{Unroll: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	gate := make(chan struct{})
@@ -121,7 +113,7 @@ func TestFarmCancellationCounters(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	s, ok := findSample(f.Obs(), "cobra_farm_worker_errors_total")
+	s, ok := findSample(f.pool.Obs(), "cobra_farm_worker_errors_total")
 	if !ok {
 		t.Fatal("no worker error series")
 	}
@@ -130,16 +122,13 @@ func TestFarmCancellationCounters(t *testing.T) {
 	}
 }
 
-// TestFarmMetricsExport checks the farm's registry tree end to end: the
-// farm attaches to a parent, worker device registries appear underneath
-// with worker labels, queue/shard series exist, and Close detaches the
-// whole tree from the parent.
+// TestFarmMetricsExport checks the pool's registry tree end to end: the
+// owner attaches Pool.Obs to its export parent, worker device registries
+// appear underneath with worker labels, and the queue/shard series exist.
 func TestFarmMetricsExport(t *testing.T) {
 	parent := obs.NewRegistry()
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Metrics: parent, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFarm(t, 2, core.Rijndael, core.Config{Unroll: 1})
+	parent.Attach(f.pool.Obs())
 	if _, err := f.EncryptCTR(context.Background(), make([]byte, 16), testMessage(16*16)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +139,7 @@ func TestFarmMetricsExport(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`cobra_farm_workers{backend="farm",alg="rijndael"} 2`,
+		`cobra_farm_workers{backend="farm"} 2`,
 		`cobra_farm_worker_jobs_total{`,
 		`worker="0"`,
 		`worker="1"`,
@@ -167,12 +156,5 @@ func TestFarmMetricsExport(t *testing.T) {
 	if _, ok := findSample(parent, "cobra_device_blocks_out_total",
 		obs.L("backend", "farm"), obs.L("worker", "1")); !ok {
 		t.Error("worker 1's device registry not gathered through the parent")
-	}
-
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(parent.Gather()) != 0 {
-		t.Error("Close left the farm registry attached to the parent")
 	}
 }

@@ -1,5 +1,5 @@
 // Package farm scales the COBRA reproduction beyond a single device: it
-// owns a pool of independently configured core.Device replicas — each
+// runs a pool of independently configured core.Device replicas — each
 // device drives its own sim.Machine, which is not safe for concurrent use
 // — and shards non-feedback workloads across them. The paper's Table 1
 // splits modes of operation into feedback and non-feedback precisely
@@ -12,12 +12,14 @@
 //
 // Dispatch is program-aware (see pool.go): shards are placed on workers
 // whose device already holds the tenant's compiled program, and idle
-// workers steal work — same-program first. A Pool can be shared by many
-// tenants (the cobrad deployment shape: Pool.Open per tenant key), or
-// owned by a single Farm via Open. Workers write ciphertext directly into
-// disjoint regions of the caller's destination buffer, so reassembly is
-// ordered by construction, and each job carries its caller's context so
-// cancellation and timeouts short-circuit queued work.
+// workers steal work — same-program first. A Farm is always a tenant of
+// a Pool: the owner creates the pool with NewPool, opens a Farm per
+// algorithm/key/config with Pool.Open (cobrad opens one per tenant key),
+// exports the pool's metrics and closes it. Workers write ciphertext
+// directly into disjoint regions of the caller's destination buffer, so
+// reassembly is ordered by construction, and each job carries its
+// caller's context so cancellation and timeouts short-circuit queued
+// work.
 //
 // A Farm implements core.Cipher — the unified API — including both
 // directions of every mode. ECB, CTR, and CBC *decryption* shard across
@@ -25,10 +27,11 @@
 // needs only ciphertext the caller already holds, so shard boundaries
 // simply overlap the ciphertext by one block); CBC encryption is the
 // feedback mode, serialized onto a single worker (Table 1's FB-column
-// penalty made operational). Every farm carries an internal/obs registry
-// aggregating its workers' device registries under worker="N" labels
-// plus farm-level queue/shard/scheduler series; attach it to obs.Default
-// via Options.Metrics and cobra-farm's -metrics flag serves it live.
+// penalty made operational). The pool's internal/obs registry (Pool.Obs)
+// aggregates its workers' device registries under worker="N" labels plus
+// the queue/shard/scheduler series, and each Farm's registry (Farm.Obs)
+// holds its per-mode request and error counters; the owner attaches both
+// to its export parent, as cobrad does for its -metrics endpoint.
 package farm
 
 import (
@@ -46,11 +49,11 @@ import (
 // ErrClosed is returned by cipher calls made after Close.
 var ErrClosed = errors.New("farm: closed")
 
-// DefaultShardBlocks caps a shard at this many 128-bit blocks. Large
+// defaultShardBlocks caps a shard at this many 128-bit blocks. Large
 // messages therefore split into several jobs per worker, which keeps the
 // queue busy (pipelining across shards) at the cost of one pipeline
 // fill-and-drain per shard on streaming configurations.
-const DefaultShardBlocks = 1024
+const defaultShardBlocks = 1024
 
 // workerQueueDepth is the per-worker queue capacity; dispatch blocks
 // (backpressure) once a worker is this many shards behind.
@@ -124,8 +127,7 @@ type tenantSlot struct {
 // may call its cipher methods simultaneously and their shards interleave
 // across the pool.
 type Farm struct {
-	pool     *Pool
-	ownsPool bool
+	pool *Pool
 
 	alg  core.Algorithm
 	key  []byte
@@ -152,28 +154,6 @@ type Farm struct {
 // interface.
 var _ core.Cipher = (*Farm)(nil)
 
-// Open starts a pool per opts and opens a single tenant on it for the
-// algorithm/key pair (device configuration from opts.Config). The
-// returned Farm owns the pool: its Close shuts the workers down.
-func Open(alg core.Algorithm, key []byte, opts Options) (*Farm, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	p, err := newPool(o, obs.L("alg", string(alg)))
-	if err != nil {
-		return nil, err
-	}
-	f, err := p.Open(alg, key, o.Config)
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
-	f.ownsPool = true
-	p.reg.Attach(f.reg)
-	return f, nil
-}
-
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
 // cfg configures the tenant's devices. The key and config are validated
@@ -181,7 +161,7 @@ func Open(alg core.Algorithm, key []byte, opts Options) (*Farm, error) {
 // worker when one is free to take it (warming the tenant's first
 // placement).
 //
-// Closing a tenant Farm does not close a shared pool; closing the pool
+// Closing a tenant Farm does not close the pool; closing the pool
 // invalidates its tenants.
 func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, error) {
 	probe, err := core.Configure(alg, key, cfg)
@@ -245,21 +225,9 @@ func (f *Farm) BlockSize() int { return 16 }
 // Workers returns the pool size.
 func (f *Farm) Workers() int { return f.pool.Workers() }
 
-// Pool returns the worker pool this tenant dispatches to.
-func (f *Farm) Pool() *Pool { return f.pool }
-
-// Obs returns the farm's metrics registry. For a pool-owning Farm (Open)
-// this is the pool registry — scheduler series, worker device
-// subtrees, and the tenant's request counters all in one tree, exactly
-// the shape the pre-scheduler farm exported. For a tenant on a shared
-// pool it is the tenant's own registry (per-mode request/error
-// counters); the pool's registry is shared state the pool owner exports.
-func (f *Farm) Obs() *obs.Registry {
-	if f.ownsPool {
-		return f.pool.reg
-	}
-	return f.reg
-}
+// Obs returns the tenant's metrics registry (per-mode request/error
+// counters). The pool's registry is shared state its owner exports.
+func (f *Farm) Obs() *obs.Registry { return f.reg }
 
 // QueueDepth reports the pool's queued-shard total (the cobrad
 // admission signal).
@@ -504,18 +472,14 @@ func (f *Farm) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Close invalidates the tenant; for a pool-owning Farm (Open) it
-// also drains and stops the workers and detaches the registry from its
-// Metrics parent. Calls already dispatching finish normally; calls made
-// after Close return ErrClosed. Idempotent.
+// Close invalidates the tenant; the pool keeps serving its other
+// tenants. Calls already dispatching finish normally; calls made after
+// Close return ErrClosed. Idempotent.
 func (f *Farm) Close() error {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
 	f.calls.Wait()
-	if f.ownsPool {
-		return f.pool.Close()
-	}
 	return nil
 }
 
@@ -527,21 +491,17 @@ type WorkerReport struct {
 }
 
 // Report aggregates the tenant's counters: the backend-independent
-// core.Summary (Stats totals the workers; ThroughputMbps is the simulated
-// aggregate rate) plus the farm-only breakdown. With every device clocked
-// alike, WallCycles — the busiest worker's datapath cycles — is the
-// simulated wall-clock of the farm, so EffectiveMbps = output bits /
-// (WallCycles / DatapathMHz) is the aggregate simulated throughput: N
-// ideally-scaling workers multiply a single device's Table 3 rate by N.
-// Field names and JSON tags are a stable reporting surface (pinned by the
-// golden test in report_test.go).
+// core.Summary (Stats totals the workers) plus the farm-only breakdown.
+// With every device clocked alike, WallCycles — the busiest worker's
+// datapath cycles — is the simulated wall-clock of the farm, so
+// ThroughputMbps = output bits / (WallCycles / DatapathMHz) is the
+// aggregate simulated throughput: N ideally-scaling workers multiply a
+// single device's Table 3 rate by N. Field names and JSON tags are a
+// stable reporting surface (pinned by the golden test in report_test.go).
 type Report struct {
 	core.Summary
 	PerWorker  []WorkerReport `json:"per_worker"`
 	WallCycles int            `json:"wall_cycles"`
-	// EffectiveMbps duplicates Summary.ThroughputMbps under the farm's
-	// historical name.
-	EffectiveMbps float64 `json:"effective_mbps"`
 }
 
 // Report snapshots the tenant's counters; safe to call while jobs are
@@ -576,9 +536,8 @@ func (f *Farm) Report() Report {
 		r.CyclesPerBlock = float64(r.Stats.Cycles) / float64(r.Stats.BlocksOut)
 	}
 	if r.WallCycles > 0 {
-		r.EffectiveMbps = float64(r.Stats.BlocksOut) * 128 * f.mhz / float64(r.WallCycles)
+		r.ThroughputMbps = float64(r.Stats.BlocksOut) * 128 * f.mhz / float64(r.WallCycles)
 	}
-	r.ThroughputMbps = r.EffectiveMbps
 	return r
 }
 

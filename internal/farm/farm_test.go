@@ -54,6 +54,22 @@ func reference(t *testing.T, alg core.Algorithm) cipher.Block {
 	return blk
 }
 
+// openFarm opens a tenant for alg under key on a fresh pool of the given
+// size; the pool closes at test cleanup.
+func openFarm(t testing.TB, workers int, alg core.Algorithm, cfg core.Config) *Farm {
+	t.Helper()
+	p, err := NewPool(Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	f, err := p.Open(alg, key, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func testMessage(n int) []byte {
 	msg := make([]byte, n)
 	for i := range msg {
@@ -67,10 +83,7 @@ func testMessage(n int) []byte {
 // shards and end on a partial block.
 func TestFarmCTRMatchesSingleDevice(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.RC6, core.Rijndael, core.Serpent} {
-		f, err := Open(alg, key, Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
+		f := openFarm(t, 4, alg, core.Config{})
 		d, err := core.Configure(alg, key, core.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +106,7 @@ func TestFarmCTRMatchesSingleDevice(t *testing.T) {
 				t.Errorf("%s n=%d: farm CTR differs from host reference", alg, n)
 			}
 		}
-		f.Close()
+		f.pool.Close()
 	}
 }
 
@@ -101,11 +114,7 @@ func TestFarmCTRMatchesSingleDevice(t *testing.T) {
 // carry so shard-start counters derived via AddCounter exercise the carry
 // chain.
 func TestFarmCTRCrossesShardBoundaryCounters(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 3, core.Rijndael, core.Config{})
 	iv := bytes.Repeat([]byte{0xff}, 16) // wraps to zero after one block
 	msg := testMessage(16 * 12)
 	got, err := f.EncryptCTR(context.Background(), iv, msg)
@@ -125,11 +134,7 @@ func TestFarmCTRCrossesShardBoundaryCounters(t *testing.T) {
 }
 
 func TestFarmECBMatchesSingleDevice(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 4, Config: core.Config{Unroll: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 4, core.Rijndael, core.Config{Unroll: 2})
 	d, err := core.Configure(core.Rijndael, key, core.Config{Unroll: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -152,17 +157,13 @@ func TestFarmECBMatchesSingleDevice(t *testing.T) {
 }
 
 func TestFarmValidation(t *testing.T) {
-	if _, err := Open(core.Rijndael, key, Options{Workers: -1}); err == nil {
+	if _, err := NewPool(Options{Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
 	}
-	if _, err := Open(core.Rijndael, key[:3], Options{Workers: 1}); err == nil {
+	f := openFarm(t, 1, core.Rijndael, core.Config{Unroll: 1})
+	if _, err := f.pool.Open(core.Rijndael, key[:3], core.Config{}); err == nil {
 		t.Error("bad key accepted")
 	}
-	f, err := Open(core.Rijndael, key, Options{Workers: 1, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	if _, err := f.EncryptCTR(context.Background(), []byte{1}, make([]byte, 16)); err == nil {
 		t.Error("short iv accepted")
 	}
@@ -172,11 +173,7 @@ func TestFarmValidation(t *testing.T) {
 }
 
 func TestFarmContextCancellation(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{Unroll: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := f.EncryptCTR(ctx, make([]byte, 16), testMessage(16*64)); !errors.Is(err, context.Canceled) {
@@ -196,10 +193,7 @@ func TestFarmContextCancellation(t *testing.T) {
 }
 
 func TestFarmClose(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFarm(t, 2, core.Rijndael, core.Config{Unroll: 1})
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +207,7 @@ func TestFarmClose(t *testing.T) {
 
 func TestFarmReportAggregation(t *testing.T) {
 	const workers = 2
-	f, err := Open(core.Rijndael, key, Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, workers, core.Rijndael, core.Config{})
 	const blocks = 64
 	if _, err := f.EncryptCTR(context.Background(), make([]byte, 16), testMessage(16*blocks)); err != nil {
 		t.Fatal(err)
@@ -239,7 +229,7 @@ func TestFarmReportAggregation(t *testing.T) {
 	if jobs != workers { // 64 blocks over 2 workers -> 2 shards
 		t.Errorf("total jobs = %d, want %d", jobs, workers)
 	}
-	if r.DatapathMHz <= 0 || r.EffectiveMbps <= 0 || r.CyclesPerBlock <= 0 {
+	if r.DatapathMHz <= 0 || r.ThroughputMbps <= 0 || r.CyclesPerBlock <= 0 {
 		t.Errorf("degenerate report: %+v", r)
 	}
 	f.ResetStats()
@@ -253,11 +243,7 @@ func TestFarmReportAggregation(t *testing.T) {
 // a no-op that dispatches no jobs, and the report's derived rates stay
 // zero instead of dividing by zero.
 func TestFarmZeroLengthMessage(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{})
 	out, err := f.EncryptCTR(context.Background(), make([]byte, 16), nil)
 	if err != nil {
 		t.Fatalf("empty message: %v", err)
@@ -269,8 +255,8 @@ func TestFarmZeroLengthMessage(t *testing.T) {
 	if r.Stats != (Report{}.Stats) || r.WallCycles != 0 {
 		t.Errorf("zero-block job moved counters: %+v", r.Stats)
 	}
-	if r.CyclesPerBlock != 0 || r.EffectiveMbps != 0 {
-		t.Errorf("zero-block rates not zero: cpb=%v mbps=%v", r.CyclesPerBlock, r.EffectiveMbps)
+	if r.CyclesPerBlock != 0 || r.ThroughputMbps != 0 {
+		t.Errorf("zero-block rates not zero: cpb=%v mbps=%v", r.CyclesPerBlock, r.ThroughputMbps)
 	}
 	for _, w := range r.PerWorker {
 		if w.Jobs != 0 {
@@ -283,11 +269,7 @@ func TestFarmZeroLengthMessage(t *testing.T) {
 // ending mid-block still counts the final keystream block, the ciphertext
 // matches the host oracle, and the per-worker counters sum to the total.
 func TestFarmPartialFinalBlockReport(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{})
 	iv := make([]byte, 16)
 	msg := testMessage(16*2 + 8) // two full blocks and half a final one
 	out, err := f.EncryptCTR(context.Background(), iv, msg)
@@ -308,7 +290,7 @@ func TestFarmPartialFinalBlockReport(t *testing.T) {
 	if sum != r.Stats {
 		t.Errorf("per-worker sum %+v != total %+v", sum, r.Stats)
 	}
-	if r.CyclesPerBlock <= 0 || r.EffectiveMbps <= 0 {
+	if r.CyclesPerBlock <= 0 || r.ThroughputMbps <= 0 {
 		t.Errorf("degenerate rates: %+v", r)
 	}
 }
@@ -321,17 +303,14 @@ func TestFarmScalingMonotonic(t *testing.T) {
 	iv := make([]byte, 16)
 	prev := 0.0
 	for _, workers := range []int{1, 2, 4} {
-		f, err := Open(core.Rijndael, key, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := openFarm(t, workers, core.Rijndael, core.Config{})
 		if _, err := f.EncryptCTR(context.Background(), iv, msg); err != nil {
 			t.Fatal(err)
 		}
-		mbps := f.Report().EffectiveMbps
-		f.Close()
+		mbps := f.Report().ThroughputMbps
+		f.pool.Close()
 		if mbps <= prev {
-			t.Errorf("workers=%d: EffectiveMbps %.1f did not improve on %.1f", workers, mbps, prev)
+			t.Errorf("workers=%d: ThroughputMbps %.1f did not improve on %.1f", workers, mbps, prev)
 		}
 		prev = mbps
 	}
@@ -339,10 +318,7 @@ func TestFarmScalingMonotonic(t *testing.T) {
 
 func TestFarmQueueSignals(t *testing.T) {
 	const workers = 3
-	f, err := Open(core.Rijndael, key, Options{Workers: workers, Config: core.Config{Unroll: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFarm(t, workers, core.Rijndael, core.Config{Unroll: 1})
 	if got, want := f.QueueCapacity(), workers*workerQueueDepth; got != want {
 		t.Fatalf("QueueCapacity = %d, want %d", got, want)
 	}
@@ -354,10 +330,7 @@ func TestFarmQueueSignals(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	unstall := func() { once.Do(func() { close(release) }) }
-	defer func() {
-		unstall()
-		f.Close()
-	}()
+	defer unstall()
 	for _, w := range f.pool.workers {
 		w.fault = func(j *job) error { <-release; return nil }
 	}
@@ -365,7 +338,7 @@ func TestFarmQueueSignals(t *testing.T) {
 	go func() {
 		const shards = workers*(workerQueueDepth+1) + 2
 		_, err := f.EncryptCTR(context.Background(), make([]byte, 16),
-			testMessage(16*shards*DefaultShardBlocks))
+			testMessage(16*shards*defaultShardBlocks))
 		done <- err
 	}()
 	deadline := time.After(10 * time.Second)

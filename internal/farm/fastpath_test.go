@@ -33,11 +33,7 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 	if !probe.UsesFastpath() {
 		t.Fatalf("farm worker config does not compile a trace: %v", probe.FastpathErr())
 	}
-	f, err := Open(core.RC6, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 3, core.RC6, core.Config{Unroll: 2})
 	ref := reference(t, core.RC6)
 
 	const callers = 6
@@ -90,16 +86,8 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 // worker pair sees the same call sequence and the per-call stats
 // equivalence proven in internal/fastpath must survive aggregation.
 func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
-	fast, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fast.Close()
-	interp, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2, Interpreter: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer interp.Close()
+	fast := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2})
+	interp := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2, Interpreter: true})
 
 	iv := bytes.Repeat([]byte{0x5c}, 16)
 	for i, n := range []int{16, 16 * 7, 16*64 + 5, 16 * 200, 3} {

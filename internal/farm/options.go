@@ -1,11 +1,6 @@
 package farm
 
-import (
-	"fmt"
-
-	"cobra/internal/core"
-	"cobra/internal/obs"
-)
+import "fmt"
 
 // Policy selects the pool's dispatch discipline.
 type Policy string
@@ -26,24 +21,13 @@ const (
 )
 
 // Options configures a worker pool. The zero value is usable: every
-// field has a default, applied by the constructors.
+// field has a default, applied by NewPool.
 type Options struct {
 	// Workers is the pool size — the number of replicated devices.
 	// Default 4.
 	Workers int
 	// Policy selects the dispatch discipline. Default PolicyAffinity.
 	Policy Policy
-	// Metrics, when non-nil, is the parent registry the pool's registry
-	// attaches to (and detaches from on Close).
-	Metrics *obs.Registry
-	// Trace enables the pool registry's span-trace ring with the given
-	// capacity.
-	Trace int
-	// Config is the tenant device configuration used by the
-	// single-tenant constructor Open (unroll, interpreter, validate).
-	// Ignored by NewPool, where each Pool.Open call carries its own
-	// core.Config.
-	Config core.Config
 }
 
 // withDefaults validates o and fills in unset fields.

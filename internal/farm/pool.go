@@ -72,6 +72,14 @@ type worker struct {
 // idleLocked reports whether the worker has nothing queued or running.
 func (w *worker) idleLocked() bool { return !w.running && len(w.q) == 0 }
 
+// loadLocked counts the worker's queued jobs plus the one it is running.
+func (w *worker) loadLocked() int {
+	if w.running {
+		return len(w.q) + 1
+	}
+	return len(w.q)
+}
+
 // poolMetrics is the pool-level scheduler instrumentation.
 type poolMetrics struct {
 	shards     *obs.Counter
@@ -119,13 +127,12 @@ type SchedStats struct {
 // Every method is safe for concurrent use.
 type Pool struct {
 	opts Options
-	// shardBlocks caps a shard's size in blocks: DefaultShardBlocks,
+	// shardBlocks caps a shard's size in blocks: defaultShardBlocks,
 	// which tests shrink to force many shard boundaries.
 	shardBlocks int
 
-	reg    *obs.Registry
-	parent *obs.Registry // detached on Close
-	met    *poolMetrics
+	reg *obs.Registry
+	met *poolMetrics
 
 	// closeMu serializes Close against dispatch: a dispatch holds the
 	// read side for the whole placement loop, so once Close holds the
@@ -143,30 +150,21 @@ type Pool struct {
 	wg      sync.WaitGroup
 }
 
-// NewPool starts a multi-tenant worker pool. Tenants are opened on it
-// with Pool.Open; the pool is shut down with Close, which the owner must
-// call (tenant Farms opened on a shared pool do not close it).
+// NewPool starts a worker pool. Tenants are opened on it with
+// Pool.Open. The owner exports the pool's metrics (attach Obs to a
+// parent registry) and shuts it down with Close; closing a tenant Farm
+// never closes its pool.
 func NewPool(opts Options) (*Pool, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return newPool(o)
-}
-
-// newPool builds the pool from validated options. extra labels (the
-// single-tenant constructors add alg=...) stamp the pool registry.
-func newPool(o Options, extra ...obs.Label) (*Pool, error) {
-	labels := append([]obs.Label{obs.L("backend", "farm")}, extra...)
 	p := &Pool{
 		opts:        o,
-		shardBlocks: DefaultShardBlocks,
-		reg:         obs.NewRegistry(labels...),
+		shardBlocks: defaultShardBlocks,
+		reg:         obs.NewRegistry(obs.L("backend", "farm")),
 		space:       make(chan struct{}),
 		closeCh:     make(chan struct{}),
-	}
-	if o.Trace > 0 {
-		p.reg.EnableTrace(o.Trace)
 	}
 	p.met = newPoolMetrics(p.reg)
 	for i := 0; i < o.Workers; i++ {
@@ -192,10 +190,6 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 		p.workers = append(p.workers, w)
 	}
 	p.reg.Gauge("cobra_farm_workers", "Pool size.").Set(int64(o.Workers))
-	if o.Metrics != nil {
-		p.parent = o.Metrics
-		p.parent.Attach(p.reg)
-	}
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go p.runWorker(w)
@@ -316,6 +310,14 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 //     never a reconfigure)
 //  3. queue behind the least-loaded pk-bound worker with space
 //
+// Load counts a running job as well as the queue (loadLocked). A worker
+// handed a shard that its goroutine has not yet picked up is then no
+// cheaper than one already running a shard, so a call's shards do not
+// pile a backlog of stealBacklog behind a running worker while its
+// sibling waits to be scheduled — the backlog an idle worker of another
+// program cross-steals, paying a reconfiguration there and another when
+// the next call claims the worker back.
+//
 // The remaining rules run only without an avoid set (the second pass)
 // AND when pk has no bound worker with room — rebinding another
 // program's worker is never worth it just to spread one call wider.
@@ -346,7 +348,7 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	var best *worker
 	for _, w := range p.workers {
 		if !skip(w) && w.boundSet && w.bound == pk && len(w.q) < workerQueueDepth {
-			if best == nil || len(w.q) < len(best.q) {
+			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
 		}
@@ -379,7 +381,7 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	best = nil
 	for _, w := range p.workers {
 		if claim(w) && len(w.q) < workerQueueDepth {
-			if best == nil || len(w.q) < len(best.q) {
+			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
 		}
@@ -582,9 +584,9 @@ func (p *Pool) ensure(w *worker, tn *Farm) error {
 	return nil
 }
 
-// Close drains the queues, stops the workers, and detaches the pool's
-// registry from its Metrics parent. Dispatches already placing shards
-// finish normally; later dispatches return ErrClosed. Idempotent.
+// Close drains the queues and stops the workers. Dispatches already
+// placing shards finish normally; later dispatches return ErrClosed.
+// Idempotent.
 func (p *Pool) Close() error {
 	p.closeMu.Lock()
 	wasClosed := p.closed
@@ -599,8 +601,5 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	close(p.closeCh)
 	p.wg.Wait()
-	if p.parent != nil {
-		p.parent.Detach(p.reg)
-	}
 	return nil
 }

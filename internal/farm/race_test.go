@@ -20,11 +20,7 @@ import (
 )
 
 func TestFarmNeverSharesDevicesBetweenGoroutines(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 4, core.Rijndael, core.Config{})
 	ref := reference(t, core.Rijndael)
 	const callers = 8
 	var wg sync.WaitGroup
@@ -72,10 +68,7 @@ func TestFarmNeverSharesDevicesBetweenGoroutines(t *testing.T) {
 // Close: every call must either succeed with a verified ciphertext or
 // fail with ErrClosed — never corrupt, never deadlock, never race.
 func TestFarmCloseRacesWithCallers(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2, Config: core.Config{Unroll: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFarm(t, 2, core.Rijndael, core.Config{Unroll: 2})
 	ref := reference(t, core.Rijndael)
 	iv := make([]byte, 16)
 	var wg sync.WaitGroup

@@ -28,8 +28,7 @@ func TestFarmReportJSONGolden(t *testing.T) {
 			{Jobs: 2, BusyNs: 1500, Stats: sim.Stats{Cycles: 20, Advanced: 20, Instructions: 15, BlocksIn: 3, BlocksOut: 3}},
 			{Jobs: 1, BusyNs: 900, Stats: sim.Stats{Cycles: 20, Advanced: 20, Instructions: 15, BlocksIn: 3, BlocksOut: 3}},
 		},
-		WallCycles:    20,
-		EffectiveMbps: 960,
+		WallCycles: 20,
 	}
 	got, err := json.Marshal(r)
 	if err != nil {
@@ -43,7 +42,7 @@ func TestFarmReportJSONGolden(t *testing.T) {
 		`"instructions":15,"nops":0,"blocks_in":3,"blocks_out":3}},` +
 		`{"jobs":1,"busy_ns":900,"stats":{"cycles":20,"advanced":20,"stalled":0,` +
 		`"instructions":15,"nops":0,"blocks_in":3,"blocks_out":3}}],` +
-		`"wall_cycles":20,"effective_mbps":960}`
+		`"wall_cycles":20}`
 	if string(got) != want {
 		t.Errorf("farm report JSON drifted:\n got %s\nwant %s", got, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cobra/internal/core"
-	"cobra/internal/obs"
 )
 
 // TestOptionsDefaults pins the Options surface: zero values fill in,
@@ -19,11 +18,10 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 4 || o.Policy != PolicyAffinity || o.Metrics != nil || o.Trace != 0 || o.Config != (core.Config{}) {
+	if o != (Options{Workers: 4, Policy: PolicyAffinity}) {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
-	parent := obs.NewRegistry()
-	set := Options{Workers: 3, Policy: PolicyRoundRobin, Metrics: parent, Trace: 16, Config: core.Config{Unroll: 2, Validate: true}}
+	set := Options{Workers: 3, Policy: PolicyRoundRobin}
 	if o, err := set.withDefaults(); err != nil || o != set {
 		t.Errorf("set options rewritten: %+v (%v)", o, err)
 	}
@@ -33,8 +31,9 @@ func TestOptionsDefaults(t *testing.T) {
 	if _, err := (Options{Policy: "lifo"}).withDefaults(); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := Open(core.Rijndael, key, Options{Policy: "bogus"}); err == nil {
-		t.Error("Open with a bogus policy accepted")
+	if p, err := NewPool(Options{Policy: "bogus"}); err == nil {
+		p.Close()
+		t.Error("NewPool with a bogus policy accepted")
 	}
 }
 
@@ -42,11 +41,7 @@ func TestOptionsDefaults(t *testing.T) {
 // path against a single device and checks its validation.
 func TestFarmDecryptECBMatchesDevice(t *testing.T) {
 	msg := testMessage(16 * 53)
-	f, err := Open(core.Rijndael, key, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 4, core.Rijndael, core.Config{})
 	ct, err := f.EncryptECB(context.Background(), msg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,13 +85,10 @@ func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shardBlocks := range []int{1, 2, 5} {
-			f, err := Open(core.Rijndael, key, Options{Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			f := openFarm(t, 3, core.Rijndael, core.Config{})
 			f.pool.shardBlocks = shardBlocks
 			got, err := f.DecryptCBC(context.Background(), iv, ct)
-			f.Close()
+			f.pool.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,11 +97,7 @@ func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
 			}
 		}
 	}
-	f, err := Open(core.Rijndael, key, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{})
 	if _, err := f.DecryptCBC(context.Background(), iv[:3], testMessage(32)); err == nil {
 		t.Error("short IV accepted")
 	}
@@ -123,11 +111,7 @@ func TestFarmDecryptCBCShardBoundaries(t *testing.T) {
 // stolen and completed by its sibling — the dispatch cannot finish
 // otherwise — and the steal is counted.
 func TestFarmSameProgramSteal(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := openFarm(t, 2, core.Rijndael, core.Config{})
 	f.pool.shardBlocks = 64
 	// Hold the first job of each worker at a gate: the dispatcher fills
 	// both queues behind the held jobs, then releasing only worker 0
@@ -245,6 +229,25 @@ func TestPoolMultiTenantAffinity(t *testing.T) {
 	}
 	if _, err := b.EncryptCTR(context.Background(), iv, msg); err != ErrClosed {
 		t.Errorf("tenant on closed pool err = %v, want ErrClosed", err)
+	}
+}
+
+// TestPlacementCountsRunningJob pins the least-loaded rule: a worker
+// running a shard with one more queued carries more load than a sibling
+// holding one shard its goroutine has not picked up yet, so the next
+// shard goes to the sibling. Queueing it behind the running worker
+// would leave a backlog of stealBacklog there for an idle worker of
+// another program to cross-steal (TestPoolMultiTenantAffinity's
+// steady-state reconfigurations under -race).
+func TestPlacementCountsRunningJob(t *testing.T) {
+	pk := progKey{alg: core.Rijndael}
+	p := &Pool{opts: Options{Workers: 2, Policy: PolicyAffinity}}
+	for i := 0; i < 2; i++ {
+		p.workers = append(p.workers, &worker{idx: i, bound: pk, boundSet: true, q: []job{{}}})
+	}
+	p.workers[0].running = true
+	if got := p.chooseLocked(pk, make([]bool, 2)); got != p.workers[1] {
+		t.Error("next shard queued behind the running worker, not its not-yet-running sibling")
 	}
 }
 

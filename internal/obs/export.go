@@ -176,9 +176,9 @@ func Serve(addr string, r *Registry) (*Server, error) {
 
 // Shutdown gracefully stops the server: the listener closes, in-flight
 // scrapes run to completion, and the serving goroutine exits — bounded
-// by ctx like net/http's Shutdown. This is the drain path cobrad and
-// cobra-farm take on SIGTERM, so a scrape racing the shutdown gets its
-// complete response instead of a reset connection.
+// by ctx like net/http's Shutdown. This is the drain path cobrad takes
+// on SIGTERM, so a scrape racing the shutdown gets its complete response
+// instead of a reset connection.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
 	select {

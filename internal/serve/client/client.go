@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -122,8 +123,12 @@ func (c *Client) roundTrip(req serve.Frame) (serve.Frame, error) {
 // Configure pins a cipher configuration for this session and returns
 // the server's description of the backing device or farm. Reconfiguring
 // an existing session is allowed (the previous backend is released).
-// A full backend cache reports BUSY (serve.IsBusy).
+// A full backend cache reports BUSY (serve.IsBusy). An Unroll the wire's
+// 16-bit field cannot carry is refused before any frame is sent.
 func (c *Client) Configure(cfg Config) (serve.ConfigureAck, error) {
+	if cfg.Unroll < 0 || cfg.Unroll > math.MaxUint16 {
+		return serve.ConfigureAck{}, fmt.Errorf("client: unroll depth %d out of range 0..%d", cfg.Unroll, math.MaxUint16)
+	}
 	req := serve.ConfigureReq{
 		Tenant: cfg.Tenant,
 		Alg:    cfg.Alg,
@@ -150,9 +155,8 @@ func (c *Client) Encrypt(mode serve.Mode, iv, data []byte) ([]byte, error) {
 	return c.cipher(serve.FrameEncrypt, mode, iv, data)
 }
 
-// Decrypt runs one decryption request. CTR decrypts on any backend;
-// ECB/CBC decryption needs a device backend (a farm answers
-// CodeUnsupported).
+// Decrypt runs one decryption request; every mode decrypts on both
+// backends (a farm shards ECB and CBC decryption like encryption).
 func (c *Client) Decrypt(mode serve.Mode, iv, data []byte) ([]byte, error) {
 	return c.cipher(serve.FrameDecrypt, mode, iv, data)
 }

@@ -184,8 +184,9 @@ const (
 	CodeMalformed uint16 = 1
 	// CodeVersion: HELLO version ranges do not overlap.
 	CodeVersion uint16 = 2
-	// CodeUnsupported: a valid request the configured backend cannot
-	// serve (e.g. DECRYPT ecb on a farm backend).
+	// CodeUnsupported: reserved for a valid request the configured
+	// backend cannot serve. Every backend serves every mode, so no
+	// server sends it.
 	CodeUnsupported uint16 = 3
 	// CodeSequence: frames out of order (missing HELLO or CONFIGURE).
 	CodeSequence uint16 = 4

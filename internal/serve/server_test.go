@@ -274,6 +274,60 @@ func TestServeFarmBackend(t *testing.T) {
 	}
 }
 
+// TestClientConfigureUnrollRange pins the client's range check on the
+// wire's 16-bit unroll field: an out-of-range depth is refused with an
+// error naming it, before any frame reaches the server (it must not wrap
+// onto another depth), and the session stays usable.
+func TestClientConfigureUnrollRange(t *testing.T) {
+	s := startServer(t, serve.Options{Backend: "device"})
+	c := dial(t, s)
+	frames := func() int64 {
+		for _, smp := range s.Obs().Gather() {
+			if smp.Name == "cobra_serve_frames_total" {
+				return smp.Value
+			}
+		}
+		t.Fatal("no cobra_serve_frames_total series")
+		return 0
+	}
+	for _, tc := range []struct {
+		unroll int
+		want   uint16 // acknowledged depth; 0: the client must refuse
+	}{
+		{0, 10}, // full unroll
+		{2, 2},
+		{-1, 0},
+		{65536, 0},
+		{65538, 0},
+	} {
+		t.Run(fmt.Sprint(tc.unroll), func(t *testing.T) {
+			before := frames()
+			ack, err := c.Configure(client.Config{Alg: "rijndael", Key: keyN(3), Unroll: tc.unroll})
+			if tc.want != 0 {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ack.Unroll != tc.want {
+					t.Errorf("ack unroll = %d, want %d", ack.Unroll, tc.want)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("unroll %d accepted (ack unroll %d)", tc.unroll, ack.Unroll)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprint(tc.unroll)) {
+				t.Errorf("error %q does not name unroll %d", err, tc.unroll)
+			}
+			if got := frames(); got != before {
+				t.Errorf("refused configure sent %d frame(s)", got-before)
+			}
+		})
+	}
+	if _, err := c.Encrypt(serve.ModeECB, nil, testMessage(16)); err != nil {
+		t.Errorf("session unusable after refused configures: %v", err)
+	}
+}
+
 // rawDial opens a bare protocol connection (no client library) for
 // tests that violate the protocol on purpose.
 func rawDial(t *testing.T, s *serve.Server) net.Conn {
