@@ -206,11 +206,7 @@ func (d *Device) load() error {
 				d.fast, d.fastErr = nil, res.Err()
 			}
 		}
-		if d.fast != nil {
-			d.met.noteCompile(true, d.fast.Elided())
-		} else {
-			d.met.noteCompile(false, 0)
-		}
+		d.met.noteCompile(d.fast != nil)
 	}
 	return nil
 }

@@ -87,7 +87,6 @@ type deviceMetrics struct {
 	compiles      *obs.Counter
 	compileErrs   *obs.Counter
 	invalidations *obs.Counter
-	elided        *obs.Gauge
 
 	// sim.Stats mirrors (see statMetricNames) and their ResetStats
 	// snapshots: Report subtracts the snapshot so resets never make the
@@ -128,8 +127,6 @@ func newDeviceMetrics() *deviceMetrics {
 		"Refused trace compilations (program not provably steady-state).")
 	m.invalidations = reg.Counter("cobra_device_fastpath_invalidations_total",
 		"Compiled traces dropped by a microcode reload.")
-	m.elided = reg.Gauge("cobra_device_fastpath_elided_ops",
-		"Dead operations elided from the current compiled trace.")
 	for i := 0; i < statCount; i++ {
 		m.st[i] = reg.Counter(statMetricNames[i], statMetricHelp[i])
 	}
@@ -153,14 +150,12 @@ func (m *deviceMetrics) setAlg(alg Algorithm) {
 }
 
 // noteCompile records one trace-compilation attempt.
-func (m *deviceMetrics) noteCompile(ok bool, elided int) {
+func (m *deviceMetrics) noteCompile(ok bool) {
 	if ok {
 		m.compiles.Inc()
-		m.elided.Set(int64(elided))
 		return
 	}
 	m.compileErrs.Inc()
-	m.elided.Set(0)
 }
 
 // addStats folds one bulk call's simulator delta into the device counters.

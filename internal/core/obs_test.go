@@ -233,6 +233,32 @@ func TestReconfigureTicksOneConfigurationPhase(t *testing.T) {
 	}
 }
 
+// TestReconfigureAllocBudget pins the host cost of a farm rebind: a
+// same-geometry Reconfigure of full-unroll Rijndael (build, vet, load,
+// trace compile and its self-check replay) stays within 5,000 heap
+// allocations. Running a whole-program analysis such as package dataflow's
+// on every compile multiplies the count several times over and fails here.
+func TestReconfigureAllocBudget(t *testing.T) {
+	const budget = 5000
+	d, err := Configure(Rijndael, key, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key2 := bytes.Repeat([]byte{0x5A}, 16)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := d.Reconfigure(Rijndael, key2, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !d.UsesFastpath() {
+		t.Fatal("reconfigured device did not compile a fastpath")
+	}
+	if allocs > budget {
+		t.Errorf("same-geometry Reconfigure: %.0f allocs/op, want <= %d", allocs, budget)
+	}
+	t.Logf("same-geometry Reconfigure: %.0f allocs/op", allocs)
+}
+
 // TestEncryptCTRIntoAllocFree is the device-level zero-allocation gate:
 // on a warmed device with an active fastpath, the CTR hot path — counter
 // staging, encryption, keystream XOR, and all instrumentation — performs

@@ -36,10 +36,10 @@
 //     worst-case critical path and datapath clock across the whole
 //     schedule, without running the simulator.
 //
-// Package program wires this up as Program.Analyze, cmd/cobra-vet exposes
-// it as -dataflow, and internal/fastpath consumes the dead-element masks to
-// elide provably dead ops from compiled traces (guarded by the fastpath
-// differential suite).
+// Package program wires this up as Program.Analyze, and cmd/cobra-vet
+// exposes it as -dataflow. The analysis is a gate, not a compiler input:
+// trace compilation never runs it, and the regression tests pin the
+// builtin corpus at zero findings.
 //
 // The finding codes above are this package's complete set. The
 // side-channel codes — "secret-branch", "secret-eram-addr",
@@ -146,25 +146,6 @@ func (r *Result) HasErrors() bool {
 		}
 	}
 	return false
-}
-
-// DeadMask renders the dead-element set as a per-cell bitmask (indexed
-// row*datapath.Cols+col, bit 1<<elem) in the form fastpath.Source consumes
-// for dead-op elision. It returns nil unless the walk completed, outputs
-// were observed, and at least one element is dead — the only situation in
-// which elision is both sound and useful.
-func (r *Result) DeadMask(rows int) []uint16 {
-	if !r.Complete || r.Outputs == 0 || len(r.Dead) == 0 {
-		return nil
-	}
-	mask := make([]uint16, rows*datapath.Cols)
-	for _, d := range r.Dead {
-		if d.Row < 0 || d.Row >= rows {
-			continue
-		}
-		mask[d.Row*datapath.Cols+d.Col] |= 1 << uint(d.Elem)
-	}
-	return mask
 }
 
 // Analyze runs the abstract walk and every analyzer over a decoded program.

@@ -210,10 +210,6 @@ func TestSeededDeadElement(t *testing.T) {
 	if res.Gates.LiveElems != res.Gates.ConfiguredElems-1 {
 		t.Errorf("gate report %+v: want exactly one dead element", res.Gates)
 	}
-	mask := res.DeadMask(4)
-	if mask == nil || mask[0*4+3] != 1<<uint(isa.ElemA1) {
-		t.Errorf("DeadMask = %v, want bit for r0.c3 A1", mask)
-	}
 }
 
 // TestSeededExecFault: configuring the multiplier on a column without an

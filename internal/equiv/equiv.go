@@ -9,11 +9,12 @@
 // initial state until the joint control state (which is data-independent in
 // both machines) repeats with period p, then an inductive phase replaces
 // the carried register/feedback data with fresh variables — shared between
-// the sides where their expressions agree, distinct where dead-op elision
-// has legitimately diverged them — and re-proves one full period under that
-// generalization, refining the agreeing set until it is inductive. Because
-// expressions mention input atoms only positionally, the generalized period
-// transfers to every later period by uniform renaming.
+// the sides where their expressions agree, distinct where they differ (a
+// difference no output reads does not refute the proof) — and re-proves
+// one full period under that generalization, refining the agreeing set
+// until it is inductive. Because expressions mention input atoms only
+// positionally, the generalized period transfers to every later period by
+// uniform renaming.
 //
 // What a Proven result certifies: for every block of the continuous input
 // stream, the compiled trace emits exactly the words the microcode would
@@ -69,7 +70,6 @@ type Result struct {
 	Outputs int // boundaries compared before closure
 	Inputs  int // input blocks consumed before closure
 	Nodes   int // arena size at the end of the run
-	Elided  int // fastpath ops dropped under the dead mask (informational)
 	Reason  string
 	Mism    *Mismatch
 	Wall    time.Duration
@@ -87,8 +87,8 @@ func (r *Result) Err() error {
 // own lines.
 func (r *Result) String() string {
 	if r.Proven {
-		return fmt.Sprintf("%s: proven equivalent (%d outputs, %d inputs, %d nodes, %d elided, %v)",
-			r.Name, r.Outputs, r.Inputs, r.Nodes, r.Elided, r.Wall.Round(time.Microsecond))
+		return fmt.Sprintf("%s: proven equivalent (%d outputs, %d inputs, %d nodes, %v)",
+			r.Name, r.Outputs, r.Inputs, r.Nodes, r.Wall.Round(time.Microsecond))
 	}
 	s := fmt.Sprintf("%s: NOT proven: %s", r.Name, r.Reason)
 	if m := r.Mism; m != nil {
@@ -104,7 +104,7 @@ func (r *Result) String() string {
 // block stream as the microcode words it was compiled from.
 func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 	start := time.Now()
-	res := &Result{Name: cfg.Name, Elided: tr.Elided}
+	res := &Result{Name: cfg.Name}
 	defer func() { res.Wall = time.Since(start) }()
 	maxOut := cfg.MaxOutputs
 	if maxOut <= 0 {
@@ -237,14 +237,15 @@ func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 	// later output, generalize: replace the carried data of both sides with
 	// fresh variables — one shared variable where the sides' expressions
 	// agree at this boundary (the candidate invariant), separate variables
-	// where they differ (e.g. registers legitimately diverged by dead-op
-	// elision) — and run one full period. If every output pair matches and
-	// the agreeing locations agree again at the end, the invariant is
-	// inductive and covers all remaining outputs: expressions are built from
-	// input atoms only positionally, so the proven period transfers to every
-	// later period by uniform renaming. Locations that fail to re-agree drop
-	// out of the candidate invariant and the period reruns (control is back
-	// at the loop point), until the set is stable or provably not inductive.
+	// where they differ (a location no output reads may differ without
+	// refuting the proof) — and run one full period. If every output pair
+	// matches and the agreeing locations agree again at the end, the
+	// invariant is inductive and covers all remaining outputs: expressions
+	// are built from input atoms only positionally, so the proven period
+	// transfers to every later period by uniform renaming. Locations that
+	// fail to re-agree drop out of the candidate invariant and the period
+	// reruns (control is back at the loop point), until the set is stable or
+	// provably not inductive.
 	refAct, fpAct := ref.carried(), fp.carried()
 	nloc := len(refAct)
 	inv := make([]bool, nloc)

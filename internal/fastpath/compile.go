@@ -227,7 +227,6 @@ type cCell struct {
 	regOnly bool
 	insel   uint8 // 0..3: current row vector block; 4..7: prev-row block−4
 	reg     bool
-	elided  int // active element operations dropped by the dead mask
 	steps   []step
 }
 
@@ -267,12 +266,6 @@ type cTick struct {
 	anyWhite bool
 	rows     []cRow
 }
-
-// compElems are the chain elements dead-op elision may drop: the nine
-// computational stages. INSEL routes and the register carries state, so a
-// mask bit on either is ignored.
-const compElems = 1<<isa.ElemE1 | 1<<isa.ElemA1 | 1<<isa.ElemB | 1<<isa.ElemC |
-	1<<isa.ElemE2 | 1<<isa.ElemD | 1<<isa.ElemF | 1<<isa.ElemA2 | 1<<isa.ElemE3
 
 // compileTicks translates recorded cycles [from, to) into executable form.
 func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*gfTab) ([]cTick, error) {
@@ -333,14 +326,8 @@ func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, 
 				}
 			}
 			for c := 0; c < datapath.Cols; c++ {
-				var dead uint16
-				if idx := r*datapath.Cols + c; idx < len(e.src.DeadElems) {
-					dead = e.src.DeadElems[idx] & compElems
-				}
-				rs := s.rces[r*datapath.Cols+c]
-				cell := compileCell(rs, c, luts[r*datapath.Cols+c], gfCache, dead)
-				e.elided += cell.elided
-				ct.rows[r].cells[c] = cell
+				idx := r*datapath.Cols + c
+				ct.rows[r].cells[c] = compileCell(s.rces[idx], c, luts[idx], gfCache)
 			}
 		}
 		out = append(out, ct)
@@ -412,21 +399,10 @@ func gfTables(mode isa.FMode, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
 }
 
 // compileCell translates one RCE's per-cycle configuration into its step
-// list, folding everything constant. Elements whose dead-mask bit is set
-// compile as bypass: their value is unobservable, so dropping the step
-// preserves every output (see Source.DeadElems).
-func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*gfTab, dead uint16) cCell {
+// list, folding everything constant.
+func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*gfTab) cCell {
 	cfg := rs.cfg
 	cell := cCell{reg: cfg.Reg.Enabled}
-	// drop reports whether the dead mask elides an otherwise-active element,
-	// counting each one it drops.
-	drop := func(el isa.Elem, active bool) bool {
-		if !active || dead&(1<<el) == 0 {
-			return false
-		}
-		cell.elided++
-		return true
-	}
 	// INSEL taps INA/INB/INC/IND — column-relative, like every operand mux —
 	// or the previous row's vector by absolute block index (rce.Eval).
 	switch src := cfg.Insel.Source & 7; src {
@@ -515,43 +491,33 @@ func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*g
 		})
 	}
 
-	if !drop(isa.ElemE1, cfg.E1.Mode != isa.EBypass) {
-		addE(cfg.E1)
+	addE(cfg.E1)
+	addA(cfg.A1)
+	switch cfg.C.Mode {
+	case isa.CS8x8:
+		cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
+	case isa.CS4x4:
+		cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: cfg.C.Page & 7})
+	case isa.CS8to32:
+		cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: cfg.C.ByteSel & 3})
 	}
-	if !drop(isa.ElemA1, cfg.A1.Op != isa.ABypass) {
-		addA(cfg.A1)
-	}
-	if !drop(isa.ElemC, cfg.C.Mode != isa.CBypass) {
-		switch cfg.C.Mode {
-		case isa.CS8x8:
-			cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
-		case isa.CS4x4:
-			cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: cfg.C.Page & 7})
-		case isa.CS8to32:
-			cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: cfg.C.ByteSel & 3})
+	addE(cfg.E2)
+	switch cfg.D.Mode {
+	case isa.DMul16, isa.DMul32:
+		w := uint8(bits.W16)
+		if cfg.D.Mode == isa.DMul32 {
+			w = uint8(bits.W32)
 		}
-	}
-	if !drop(isa.ElemE2, cfg.E2.Mode != isa.EBypass) {
-		addE(cfg.E2)
-	}
-	if !drop(isa.ElemD, cfg.D.Mode != isa.DBypass) {
-		switch cfg.D.Mode {
-		case isa.DMul16, isa.DMul32:
-			w := uint8(bits.W16)
-			if cfg.D.Mode == isa.DMul32 {
-				w = uint8(bits.W32)
-			}
-			isImm, val, blk, fromER := operandOf(cfg.D.Operand, cfg.D.Imm, col, rs.iner)
-			if isImm {
-				cell.steps = append(cell.steps, step{kind: stMulImm, imm: val, aux: w, immER: fromER})
-			} else {
-				cell.steps = append(cell.steps, step{kind: stMulBlk, src: blk, aux: w})
-			}
-		case isa.DSquare:
-			cell.steps = append(cell.steps, step{kind: stSquare})
+		isImm, val, blk, fromER := operandOf(cfg.D.Operand, cfg.D.Imm, col, rs.iner)
+		if isImm {
+			cell.steps = append(cell.steps, step{kind: stMulImm, imm: val, aux: w, immER: fromER})
+		} else {
+			cell.steps = append(cell.steps, step{kind: stMulBlk, src: blk, aux: w})
 		}
+	case isa.DSquare:
+		cell.steps = append(cell.steps, step{kind: stSquare})
 	}
-	if cfg.B.Mode != isa.BBypass && !drop(isa.ElemB, true) {
+	if cfg.B.Mode != isa.BBypass {
 		kImm, kBlk := stAddImm, stAddBlk
 		if cfg.B.Mode == isa.BSub {
 			kImm, kBlk = stSubImm, stSubBlk
@@ -563,15 +529,11 @@ func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*g
 			cell.steps = append(cell.steps, step{kind: kBlk, src: blk, aux: cfg.B.Width & 3})
 		}
 	}
-	if (cfg.F.Mode == isa.FLanes || cfg.F.Mode == isa.FMDS) && !drop(isa.ElemF, true) {
+	if cfg.F.Mode == isa.FLanes || cfg.F.Mode == isa.FMDS {
 		cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(cfg.F.Mode, cfg.F.Consts, gfCache)})
 	}
-	if !drop(isa.ElemA2, cfg.A2.Op != isa.ABypass) {
-		addA(cfg.A2)
-	}
-	if !drop(isa.ElemE3, cfg.E3.Mode != isa.EBypass) {
-		addE(cfg.E3)
-	}
+	addA(cfg.A2)
+	addE(cfg.E3)
 
 	if len(cell.steps) == 0 && cell.insel == uint8(col) && !cell.reg {
 		cell.passthrough = true

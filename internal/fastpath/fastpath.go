@@ -66,7 +66,10 @@ import (
 var ErrNotSteady = errors.New("fastpath: program is not steady-state compilable")
 
 // Source is the program handoff from package program (fastpath cannot
-// import program without a cycle; program.Compile fills this in).
+// import program without a cycle; program.Compile fills this in). It
+// carries the microcode and its geometry only: no static-analysis result
+// feeds compilation, so a compile costs one recording, the tick compiler
+// and the self-check replay.
 type Source struct {
 	// Name identifies the program in error messages.
 	Name string
@@ -81,15 +84,6 @@ type Source struct {
 	Streaming bool
 	// PipelineDepth is the number of register stages (streaming programs).
 	PipelineDepth int
-	// DeadElems, when non-nil, is package dataflow's dead-element bitmask
-	// (indexed row*datapath.Cols+col, bit 1<<elem): element instances whose
-	// values provably never reach a collected output word. The compiler
-	// elides their steps from the op-lists. Eliding a dead element changes
-	// only values the dataflow analysis proved unobservable, and only the
-	// nine computational chain elements are honored — never INSEL or the
-	// register, which carry state — so the compiled trace stays equivalent;
-	// the compile-time self-check replay verifies it bit-for-bit regardless.
-	DeadElems []uint16
 }
 
 // Exec is a compiled steady-state trace plus the mutable data state of one
@@ -102,8 +96,7 @@ type Exec struct {
 	head   []cTick // load-to-first-output cycle stream (ends at its output)
 	period []cTick // steady repeating cycle stream (≥1 output per period)
 
-	rows   int
-	elided int // element operations dropped under Source.DeadElems
+	rows int
 
 	initReg [][datapath.Cols]uint32
 	initFB  bits.Block128
@@ -130,10 +123,6 @@ func (e *Exec) Name() string { return e.src.Name }
 // Dirty reports whether the executor holds in-flight state from a previous
 // call (mirrors sim.Machine.Dirty).
 func (e *Exec) Dirty() bool { return e.dirty }
-
-// Elided returns the number of element operations the compiler dropped
-// across all compiled cycles under Source.DeadElems (0 without a mask).
-func (e *Exec) Elided() int { return e.elided }
 
 // Reset restores the post-load state: the executor behaves as if the
 // program had just been reloaded on a fresh machine (counters restart at
@@ -189,29 +178,6 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 		e.periodPos = stop % len(e.period)
 	}
 	e.dirty = true
-	return stats, nil
-}
-
-// EncryptBytesInto is EncryptInto for byte-oriented callers: src must be a
-// multiple of 16 bytes, dst at least as long as src, and dst may alias src.
-func (e *Exec) EncryptBytesInto(dst, src []byte) (sim.Stats, error) {
-	if len(src)%16 != 0 {
-		return sim.Stats{}, fmt.Errorf("fastpath: input length %d is not a multiple of the block size", len(src))
-	}
-	if len(dst) < len(src) {
-		return sim.Stats{}, fmt.Errorf("fastpath: dst is %d bytes, need %d", len(dst), len(src))
-	}
-	blocks := make([]bits.Block128, len(src)/16)
-	for i := range blocks {
-		blocks[i] = bits.LoadBlock128(src[16*i:])
-	}
-	stats, err := e.EncryptInto(blocks, blocks)
-	if err != nil {
-		return stats, err
-	}
-	for i, blk := range blocks {
-		blk.StoreBlock128(dst[16*i:])
-	}
 	return stats, nil
 }
 

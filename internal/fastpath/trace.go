@@ -17,7 +17,6 @@ type Trace struct {
 	Rows          int
 	Streaming     bool
 	PipelineDepth int
-	Elided        int // element operations dropped under the dead mask
 
 	InitReg [][datapath.Cols]uint32
 	InitFB  bits.Block128
@@ -115,7 +114,6 @@ func (e *Exec) Trace() *Trace {
 		Rows:          e.rows,
 		Streaming:     e.src.Streaming,
 		PipelineDepth: e.src.PipelineDepth,
-		Elided:        e.elided,
 		InitReg:       append([][datapath.Cols]uint32(nil), e.initReg...),
 		InitFB:        e.initFB,
 		Head:          exportTicks(e.head),

@@ -9,7 +9,7 @@ import (
 // this package analyzes clean (regression-tested at every unroll depth and
 // window size); an Error finding on a hand-written or edited program points
 // at broken key injection, missing diffusion, or a read of storage nothing
-// wrote. Compile consumes the dead-element mask for trace elision.
+// wrote.
 func (p *Program) Analyze() *dataflow.Result {
 	return dataflow.Analyze(p.Instrs, dataflow.Config{Rows: p.Geometry.Rows, Window: p.Window})
 }

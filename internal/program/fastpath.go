@@ -24,20 +24,12 @@ func (p *Program) Compile() (*fastpath.Exec, error) {
 			return nil, fmt.Errorf("%w: %s: vet: %s", fastpath.ErrNotSteady, p.Name, f)
 		}
 	}
-	src := fastpath.Source{
+	return fastpath.Compile(fastpath.Source{
 		Name:          p.Name,
 		Words:         p.Words(),
 		Geometry:      p.Geometry,
 		Window:        p.Window,
 		Streaming:     p.Streaming,
 		PipelineDepth: p.PipelineDepth,
-	}
-	// Dead-op elision: when the dataflow walk closes with no Error findings,
-	// its dead-element mask lets the compiler skip operations whose values
-	// provably never reach the ciphertext. The mask is advisory — the
-	// compile-time self-check replay still verifies the trace bit-for-bit.
-	if res := p.Analyze(); res.Complete && !res.HasErrors() {
-		src.DeadElems = res.DeadMask(p.Geometry.Rows)
-	}
-	return fastpath.Compile(src)
+	})
 }

@@ -143,8 +143,8 @@ func TestSeededDefectMutatedOp(t *testing.T) {
 }
 
 // TestSeededDefectWrongElision marks one live compiled cell as elided
-// (passthrough) and requires rejection: the elision machinery must never
-// be able to drop a contributing operation silently.
+// (passthrough) and requires rejection: a compiled trace must never be
+// able to drop a contributing operation silently.
 func TestSeededDefectWrongElision(t *testing.T) {
 	p, err := BuildRC6(validationKey(), 1, 20)
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 // control lanes are microcode-only (the fastpath fold resolves every eRAM
 // read to an immediate, so those lanes have no fastpath counterpart).
 //
-// A microcode site missing from the fastpath is tolerated only when the
-// compiled trace elided ops (the dead-op elision the fastpath differential
-// suite already guards); a fastpath site missing from the microcode is
-// always an error — the compiled ops read a table the microcode analysis
-// never saw.
+// The site sets must match exactly: a microcode site missing from the
+// fastpath means the compiled ops dropped a table read the microcode
+// schedules, and a fastpath site missing from the microcode means they read
+// a table the microcode analysis never saw.
 func Compare(mc, fp *Profile) []vet.Finding {
 	var out []vet.Finding
 	mismatch := func(msg string) {
@@ -41,10 +40,7 @@ func Compare(mc, fp *Profile) []vet.Finding {
 		mcSites[k] = true
 		f, ok := fpSites[k]
 		if !ok {
-			if fp.Elided > 0 {
-				continue // dropped under the dead mask, with the mask's own guarantees
-			}
-			mismatch(fmt.Sprintf("table site %s: microcode reads it (index taint %s, first at cycle %d) but the compiled fastpath has no such read and elided nothing", m, m.Taint, m.FirstTick))
+			mismatch(fmt.Sprintf("table site %s: microcode reads it (index taint %s, first at cycle %d) but the compiled fastpath has no such read", m, m.Taint, m.FirstTick))
 			continue
 		}
 		if f.Taint != m.Taint {

@@ -98,10 +98,6 @@ type Profile struct {
 	// so the profile covers the whole schedule and its claims are total.
 	Complete bool
 	Outputs  int
-	// Elided is the compiled trace's dead-op elision count (fastpath
-	// profiles; 0 for microcode). Compare tolerates microcode-only sites
-	// when elision dropped ops.
-	Elided   int
 	Accesses []Access
 	OutTaint [datapath.Cols]Taint
 	Findings []vet.Finding

@@ -26,7 +26,7 @@ const tracePassCap = 4096
 // about where secrets reach memory addresses, which is exactly what
 // Compare reports.
 func AnalyzeTrace(tr *fastpath.Trace) *Profile {
-	p := &Profile{Name: tr.Name, Source: "fastpath", Elided: tr.Elided}
+	p := &Profile{Name: tr.Name, Source: "fastpath"}
 	acc := make(map[[3]int]*Access)
 
 	// Registers after the load phase hold key-schedule material.
