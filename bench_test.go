@@ -376,31 +376,39 @@ func BenchmarkFarm(b *testing.B) {
 	}
 }
 
-// BenchmarkDecryption measures the decryption datapath across the three
-// ciphers at the base-architecture granularity.
+// BenchmarkDecryption measures device decryption across the three
+// ciphers at the base-architecture granularity, on each engine: the
+// compiled trace (Config{}) and the cycle-accurate interpreter. The first
+// call, which builds the decryption engine, runs before the timer starts.
 func BenchmarkDecryption(b *testing.B) {
-	for _, c := range []bench.Config{{Alg: "rc6", Rounds: 2},
-		{Alg: "rijndael", Rounds: 2}, {Alg: "serpent", Rounds: 1}} {
-		b.Run(fmt.Sprintf("%s-%d", c.Alg, c.Rounds), func(b *testing.B) {
-			p, err := bench.BuildDecrypt(c, benchKey)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		alg    core.Algorithm
+		unroll int
+	}{{core.RC6, 2}, {core.Rijndael, 2}, {core.Serpent, 1}} {
+		for _, interp := range []bool{false, true} {
+			engine := "fastpath"
+			if interp {
+				engine = "interpreter"
 			}
-			m, err := program.NewMachine(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := program.Load(m, p); err != nil {
-				b.Fatal(err)
-			}
-			src := make([]byte, 16*16)
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := program.RunBytes(m, p, make([]byte, len(src)), src, program.Opts{}); err != nil {
+			b.Run(fmt.Sprintf("%s-%d/%s", c.alg, c.unroll, engine), func(b *testing.B) {
+				d, err := core.Configure(c.alg, benchKey, core.Config{Unroll: c.unroll, Interpreter: interp})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				ctx := context.Background()
+				src := make([]byte, 16*16)
+				dst := make([]byte, len(src))
+				if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(src)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

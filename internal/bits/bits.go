@@ -120,21 +120,34 @@ func SquareMod32(a uint32) uint32 { return a * a }
 
 // GFMul multiplies a and b in GF(2^8) with the Rijndael reduction
 // polynomial x^8 + x^4 + x^3 + x + 1 (0x11b). This is the primitive the F
-// element's fixed-constant multipliers are built from.
+// element's fixed-constant multipliers are built from. The interpreter
+// calls it for every F-element byte lane on every tick, so it reads the
+// log/antilog tables below instead of looping over the bits of b.
 func GFMul(a, b uint8) uint8 {
-	var p uint8
-	for i := 0; i < 8; i++ {
-		if b&1 != 0 {
-			p ^= a
-		}
-		hi := a & 0x80
-		a <<= 1
-		if hi != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
+	if a == 0 || b == 0 {
+		return 0
 	}
-	return p
+	return gfExp[int(gfLog[a])+int(gfLog[b])]
+}
+
+// gfExp and gfLog are the antilog and log tables of GF(2^8) for the
+// generator 3. gfExp holds the 255-element cycle twice, so the sum of two
+// logs indexes it without a reduction mod 255.
+var gfExp, gfLog = gfTables()
+
+func gfTables() (exp [510]uint8, log [256]uint8) {
+	x := uint8(1)
+	for i := 0; i < 255; i++ {
+		exp[i], exp[i+255] = x, x
+		log[x] = uint8(i)
+		// x *= 3, that is x ^ 2x, with 2x reduced by 0x11b.
+		x2 := x << 1
+		if x&0x80 != 0 {
+			x2 ^= 0x1b
+		}
+		x ^= x2
+	}
+	return exp, log
 }
 
 // GFMulWord applies GFMul lane-wise: each byte of x is multiplied by the

@@ -177,6 +177,34 @@ func TestGFMulKnownValues(t *testing.T) {
 	}
 }
 
+// gfMulBitSerial is the shift-and-add GF(2^8) multiply modulo 0x11b: the
+// reference the table-driven GFMul is checked against.
+func gfMulBitSerial(a, b uint8) uint8 {
+	var p uint8
+	for i := 0; i < 8; i++ {
+		if b&1 != 0 {
+			p ^= a
+		}
+		hi := a & 0x80
+		a <<= 1
+		if hi != 0 {
+			a ^= 0x1b
+		}
+		b >>= 1
+	}
+	return p
+}
+
+func TestGFMulMatchesBitSerialEverywhere(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			if got, want := GFMul(uint8(a), uint8(b)), gfMulBitSerial(uint8(a), uint8(b)); got != want {
+				t.Fatalf("GFMul(%#x, %#x) = %#x, bit-serial product %#x", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestGFMulCommutative(t *testing.T) {
 	f := func(a, b uint8) bool { return GFMul(a, b) == GFMul(b, a) }
 	if err := quick.Check(f, nil); err != nil {

@@ -72,62 +72,67 @@ type Config struct {
 	// Unroll is the number of rounds mapped into hardware (Table 3's
 	// "Rnds"); 0 selects the full unroll (maximum throughput).
 	Unroll int
-	// Interpreter forces every encryption through the cycle-accurate
-	// interpreter even when the program trace-compiles (the comparison and
-	// debugging path; cobra-bench -fastpath measures against it). The
-	// default uses the fastpath executor for bulk modes when the program
-	// proves steady-state compilable.
+	// Interpreter forces every encryption and decryption through the
+	// cycle-accurate interpreter even when the program trace-compiles (the
+	// comparison and debugging path; cobra-bench -fastpath measures against
+	// it). The default runs each direction on the fastpath executor when
+	// its program proves steady-state compilable.
 	Interpreter bool
 	// Validate runs the symbolic translation validator (package equiv) over
-	// every compiled fastpath trace before installing it: a trace not proven
-	// to compute the microcode's exact block stream is refused, and the
-	// device falls back to the interpreter with FastpathErr reporting the
-	// verdict. Off by default — validation costs a few ms to tens of ms per
-	// (re)load, and the compiler is itself covered by the cobra-vet -equiv
-	// corpus gate — but recommended wherever microcode arrives from outside
-	// the build (cobrad tenants, assembled .casm files).
+	// every compiled fastpath trace, of either direction, before installing
+	// it: a trace not proven to compute the microcode's exact block stream
+	// is refused, and that direction falls back to the interpreter
+	// (FastpathErr reports the encryption trace's verdict). Off by default
+	// — validation costs a few ms to tens of ms per (re)load, and the
+	// compiler is itself covered by the cobra-vet -equiv corpus gate — but
+	// recommended wherever microcode arrives from outside the build (cobrad
+	// tenants, assembled .casm files).
 	Validate bool
+}
+
+// engine is one direction's datapath: the program, the machine it is
+// loaded on, and the trace compiled from it — nil when compilation was
+// refused (compileErr records why) or forced off by Config.Interpreter.
+type engine struct {
+	prog       *program.Program
+	machine    *sim.Machine
+	fast       *fastpath.Exec
+	compileErr error
 }
 
 // Device is one COBRA chip with loaded microcode.
 //
-// A Device is not safe for concurrent use: it owns a single sim.Machine
-// (itself single-threaded silicon) and every Encrypt/Decrypt call mutates
-// the machine's queues and counters. Report, Summary and ResetStats ARE
+// A Device is not safe for concurrent use: it owns a sim.Machine per
+// direction (single-threaded silicon) and every Encrypt/Decrypt call
+// mutates one's queues and counters. Report, Summary and ResetStats ARE
 // safe to call concurrently with encryption — they read and snapshot
 // atomic registry counters — which is how the farm reports on live
 // workers. To serve a non-feedback workload in parallel, replicate
 // devices — one per goroutine — and shard the data between them;
 // internal/farm packages exactly that pattern.
 type Device struct {
-	spec    *program.Spec
-	prog    *program.Program
-	machine *sim.Machine
-	timing  model.Timing
-	key     []byte
-	met     *deviceMetrics
+	spec   *program.Spec
+	timing model.Timing
+	key    []byte
+	met    *deviceMetrics
+
+	// enc is the encryption engine, built by every (re)configuration; dec
+	// the decryption engine, built on the first decrypt call and dropped
+	// by the next reconfiguration (in hardware terms: a second device, or
+	// this one re-loaded between directions).
+	enc, dec *engine
 
 	// oneBlk is the one-block scratch reused by the chaining modes'
 	// block-at-a-time path (EncryptCBC), and blkBuf the bulk staging
-	// scratch reused by EncryptECBInto/EncryptCTRInto — the CTR hot path
-	// is allocation-free once the buffer has grown to the workload's batch
-	// size (alloc_test.go pins this).
+	// scratch reused by the ECB, CTR and decryption paths — they are
+	// allocation-free once the buffer has grown to the workload's batch
+	// size (obs_test.go pins this).
 	oneBlk [1]bits.Block128
 	blkBuf []bits.Block128
 
-	// fast is the trace-compiled executor (package fastpath) serving the
-	// bulk encryption paths; nil when compilation was refused (fastErr
-	// records why) or forced off (interpOnly).
-	fast       *fastpath.Exec
-	fastErr    error
-	interpOnly bool
-	validate   bool
-
-	// Decryption datapath, built lazily on first DecryptECB call (in
-	// hardware terms: a second device, or this one re-loaded between
-	// directions).
-	decProg    *program.Program
-	decMachine *sim.Machine
+	// cfg is the configuration's Config; Interpreter and Validate apply
+	// to both engines.
+	cfg Config
 }
 
 // Configure compiles the algorithm/key pair into microcode, instantiates
@@ -141,11 +146,10 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// configure builds the algorithm/key pair's program and loads it: onto
-// the device's own machine when the array geometry matches, else onto a
-// freshly tiled one. Either way the machine's observer feeds the device
-// registry, so the configuration phase is counted once in cobra_sim_*.
-// A build failure leaves the device untouched.
+// configure builds the algorithm/key pair's encryption engine, drops both
+// engines of the previous configuration (a compiled trace encodes its
+// program's configuration schedule), refreshes the timing analysis and
+// resets the Report view. A build failure leaves the device untouched.
 func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	s, err := alg.spec()
 	if err != nil {
@@ -159,96 +163,133 @@ func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	m := d.machine
-	if m == nil || p.Geometry != d.prog.Geometry {
-		if m, err = program.NewMachine(p); err != nil {
-			return err
+	for _, e := range [...]*engine{d.enc, d.dec} {
+		if e != nil && e.fast != nil {
+			d.met.invalidations.Inc()
+			e.fast = nil
 		}
-		// The machine-level observer feeds the cobra_sim_* family:
-		// interpreter machine activity including the setup/configuration
-		// phase. Fastpath runs never touch the machine, so the
-		// device-level cobra_device_*_total mirrors (fed by encryptInto
-		// across both engines) are the bulk-encryption source of truth.
-		// Counter lookups are get-or-create by name, so a re-tiled
-		// machine keeps counting into the same series.
-		m.Obs = sim.NewObserver(d.met.reg)
 	}
-	d.spec, d.prog, d.machine = s, p, m
-	d.key = append([]byte(nil), key...)
-	d.interpOnly, d.validate = cfg.Interpreter, cfg.Validate
-	// The decryption datapath is rebuilt lazily for the new key.
-	d.decProg, d.decMachine = nil, nil
-	d.met.setAlg(alg)
-	return d.load()
-}
-
-// load (re)loads the program, refreshes the timing analysis, and
-// (re)compiles the fastpath trace — any previously compiled trace is
-// invalidated, since it encodes the old program's configuration schedule.
-func (d *Device) load() error {
-	if d.fast != nil {
-		d.met.invalidations.Inc()
-	}
-	d.fast, d.fastErr = nil, nil
-	if err := program.Load(d.machine, d.prog); err != nil {
+	d.dec, d.cfg = nil, cfg
+	enc, err := d.newEngine(p, d.enc)
+	if err != nil {
 		return err
 	}
-	d.timing = model.Analyze(d.machine.Array, model.DefaultDelays())
+	d.spec, d.enc = s, enc
+	d.key = append([]byte(nil), key...)
+	d.met.setAlg(alg)
+	d.timing = model.Analyze(enc.machine.Array, model.DefaultDelays())
 	d.met.resetStats()
-	if !d.interpOnly {
-		d.fast, d.fastErr = d.prog.Compile()
-		if d.fast != nil && d.validate {
+	return nil
+}
+
+// newEngine loads p — onto prev's machine when the array geometry
+// matches, else onto a freshly tiled one — and compiles its fastpath
+// trace unless Config.Interpreter forces it off. Every machine's observer
+// feeds the device registry, so each configuration phase is counted once
+// in cobra_sim_* (lookups are get-or-create by name); fastpath runs never
+// touch the machine, so the cobra_device_*_total mirrors that run feeds
+// are the source of truth for bulk work.
+func (d *Device) newEngine(p *program.Program, prev *engine) (*engine, error) {
+	e := &engine{prog: p}
+	if prev != nil && prev.prog.Geometry == p.Geometry {
+		e.machine = prev.machine
+	} else {
+		m, err := program.NewMachine(p)
+		if err != nil {
+			return nil, err
+		}
+		m.Obs = sim.NewObserver(d.met.reg)
+		e.machine = m
+	}
+	if err := program.Load(e.machine, p); err != nil {
+		return nil, err
+	}
+	if !d.cfg.Interpreter {
+		e.fast, e.compileErr = p.Compile()
+		if e.fast != nil && d.cfg.Validate {
 			// The opt-in translation-validation gate: an unproven trace is
-			// never installed. The device still works — every encryption
-			// routes through the interpreter — and FastpathErr carries the
-			// validator's verdict (divergence witness included).
-			if res := d.prog.ValidateExec(d.fast); !res.Proven {
-				d.fast, d.fastErr = nil, res.Err()
+			// never installed. The engine still works on the interpreter,
+			// and compileErr carries the validator's verdict (divergence
+			// witness included).
+			if res := p.ValidateExec(e.fast); !res.Proven {
+				e.fast, e.compileErr = nil, res.Err()
 			}
 		}
-		d.met.noteCompile(d.fast != nil)
+		d.met.noteCompile(e.fast != nil)
 	}
-	return nil
+	return e, nil
+}
+
+// decryptor returns the decryption engine, building it on first use at
+// the depth DecryptECB documents: the device's unroll when
+// Spec.DecryptDepths (ascending) lists it, else the deepest listed depth
+// below it. Building it neither resets the Report view nor counts an
+// invalidation: it adds a direction rather than replacing one.
+func (d *Device) decryptor() (*engine, error) {
+	if d.dec == nil {
+		hw := 0
+		for _, dd := range d.spec.DecryptDepths {
+			if dd <= d.enc.prog.HWRounds {
+				hw = dd
+			}
+		}
+		p, err := d.spec.BuildDecrypt(d.key, hw)
+		if err != nil {
+			return nil, err
+		}
+		if d.dec, err = d.newEngine(p, nil); err != nil {
+			return nil, err
+		}
+	}
+	return d.dec, nil
 }
 
 // Obs returns the device's metrics registry — every series the device
 // maintains, for attaching to an export parent or scraping in tests.
 func (d *Device) Obs() *obs.Registry { return d.met.reg }
 
-// UsesFastpath reports whether bulk encryption runs on the trace-compiled
+// UsesFastpath reports whether encryption runs on the trace-compiled
 // executor rather than the cycle-accurate interpreter.
-func (d *Device) UsesFastpath() bool { return d.fast != nil }
+func (d *Device) UsesFastpath() bool { return d.enc.fast != nil }
 
-// FastpathErr returns why trace compilation was refused (nil when the
+// FastpathErr returns why the encryption trace was refused (nil when the
 // fastpath is active or was forced off by Config.Interpreter).
-func (d *Device) FastpathErr() error { return d.fastErr }
+func (d *Device) FastpathErr() error { return d.enc.compileErr }
 
-// encryptInto routes a bulk block batch through the fastpath executor when
-// one is compiled, falling back to the interpreter otherwise. A machine
-// that has interpreted since its last load owns the in-flight stats chain,
-// so such a device stays on the interpreter. The context is checked once
-// per batch — a simulated batch is the unit of work a caller can abandon.
-func (d *Device) encryptInto(ctx context.Context, dst, blocks []bits.Block128) (sim.Stats, error) {
+// run routes a block batch through one direction's engine — the
+// encryption engine, or with decrypt set the decryption engine, built on
+// first use — and folds the call's simulator counters into the device's.
+// The batch runs on the compiled trace when there is one, else on the
+// interpreter. A machine that has interpreted since its last load owns
+// the in-flight stats chain, so such an engine stays on the interpreter.
+// The context is checked once per batch — a simulated batch is the unit
+// of work a caller can abandon.
+func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block128) (sim.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.Stats{}, err
 	}
+	e, err := d.enc, error(nil)
+	if decrypt {
+		if e, err = d.decryptor(); err != nil {
+			return sim.Stats{}, err
+		}
+	}
 	var st sim.Stats
-	var err error
-	if d.fast != nil && !d.machine.Dirty() {
-		st, err = d.fast.EncryptInto(dst, blocks)
+	if e.fast != nil && !e.machine.Dirty() {
+		st, err = e.fast.EncryptInto(dst, blocks)
 		if err == nil {
 			d.met.fastBlocks.Add(int64(len(blocks)))
 		}
 	} else {
 		switch {
-		case d.interpOnly:
+		case d.cfg.Interpreter:
 			d.met.fbForced.Inc()
-		case d.fast == nil:
+		case e.fast == nil:
 			d.met.fbRefused.Inc()
 		default:
 			d.met.fbDirty.Inc()
 		}
-		st, err = program.Run(d.machine, d.prog, dst, blocks, program.Opts{})
+		st, err = program.Run(e.machine, e.prog, dst, blocks, program.Opts{})
 		if err == nil {
 			d.met.interpBlocks.Add(int64(len(blocks)))
 		}
@@ -258,6 +299,15 @@ func (d *Device) encryptInto(ctx context.Context, dst, blocks []bits.Block128) (
 	}
 	d.met.addStats(st)
 	return st, nil
+}
+
+// fresh runs an *Into call with a new output buffer the size of src.
+func fresh(src []byte, into func(dst []byte) (sim.Stats, error)) ([]byte, error) {
+	dst := make([]byte, len(src))
+	if _, err := into(dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // scratch returns the bulk staging buffer, grown to hold n blocks. The
@@ -285,10 +335,10 @@ func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 func (d *Device) Algorithm() Algorithm { return Algorithm(d.spec.Name) }
 
 // Unroll returns the configured unroll depth.
-func (d *Device) Unroll() int { return d.prog.HWRounds }
+func (d *Device) Unroll() int { return d.enc.prog.HWRounds }
 
 // Geometry returns the array geometry in rows.
-func (d *Device) Geometry() datapath.Geometry { return d.prog.Geometry }
+func (d *Device) Geometry() datapath.Geometry { return d.enc.prog.Geometry }
 
 // BlockSize returns the cipher block size in bytes.
 func (d *Device) BlockSize() int { return d.spec.BlockSize }
@@ -297,11 +347,7 @@ func (d *Device) BlockSize() int { return d.spec.BlockSize }
 // streaming the blocks through the datapath in electronic-codebook mode,
 // the paper's measurement mode.
 func (d *Device) EncryptECB(ctx context.Context, src []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if _, err := d.EncryptECBInto(ctx, dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return fresh(src, func(dst []byte) (sim.Stats, error) { return d.EncryptECBInto(ctx, dst, src) })
 }
 
 // EncryptECBInto is EncryptECB writing into a caller-supplied buffer
@@ -309,15 +355,14 @@ func (d *Device) EncryptECB(ctx context.Context, src []byte) ([]byte, error) {
 // this call — the farm's worker path, where per-shard stats are aggregated
 // into a pool-wide report.
 func (d *Device) EncryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
-	d.met.calls[opECB].Inc()
-	sp := d.met.lat[opECB].Start()
-	st, err := d.encryptECBInto(ctx, dst, src)
-	sp.End()
-	d.met.finish(opECB, len(src), err)
+	sp := d.met.start(opECB)
+	st, err := d.ecbInto(ctx, false, dst, src)
+	d.met.finish(sp, opECB, len(src), err)
 	return st, err
 }
 
-func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
+// ecbInto streams whole blocks through one direction's engine (see run).
+func (d *Device) ecbInto(ctx context.Context, decrypt bool, dst, src []byte) (sim.Stats, error) {
 	if len(src)%16 != 0 {
 		return sim.Stats{}, fmt.Errorf("core: input length %d is not a multiple of the block size", len(src))
 	}
@@ -331,7 +376,7 @@ func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats
 	for i := range blocks {
 		blocks[i] = bits.LoadBlock128(src[16*i:])
 	}
-	stats, err := d.encryptInto(ctx, blocks, blocks)
+	stats, err := d.run(ctx, decrypt, blocks, blocks)
 	if err != nil {
 		return stats, err
 	}
@@ -339,18 +384,6 @@ func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats
 		blocks[i].StoreBlock128(dst[16*i:])
 	}
 	return stats, nil
-}
-
-// encryptBlockInPlace runs a single block through the datapath, reusing
-// the device's one-block scratch so the chaining loop performs no per-block
-// slice allocations.
-func (d *Device) encryptBlockInPlace(ctx context.Context, b *[16]byte) error {
-	d.oneBlk[0] = bits.LoadBlock128(b[:])
-	if _, err := d.encryptInto(ctx, d.oneBlk[:], d.oneBlk[:]); err != nil {
-		return err
-	}
-	d.oneBlk[0].StoreBlock128(b[:])
-	return nil
 }
 
 // EncryptCBC encrypts src in cipher-block-chaining mode: each block is
@@ -361,22 +394,16 @@ func (d *Device) encryptBlockInPlace(ctx context.Context, b *[16]byte) error {
 // block. iv must be one block (16 bytes). The context is checked between
 // blocks, so a long chained message can be abandoned mid-stream.
 func (d *Device) EncryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if _, err := d.EncryptCBCInto(ctx, dst, iv, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return fresh(src, func(dst []byte) (sim.Stats, error) { return d.EncryptCBCInto(ctx, dst, iv, src) })
 }
 
 // EncryptCBCInto is EncryptCBC writing into a caller-supplied buffer
 // (len(dst) >= len(src), may alias src) — the farm serializes a CBC
 // message onto one worker through this entry point.
 func (d *Device) EncryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.Stats, error) {
-	d.met.calls[opCBC].Inc()
-	sp := d.met.lat[opCBC].Start()
+	sp := d.met.start(opCBC)
 	st, err := d.encryptCBCInto(ctx, dst, iv, src)
-	sp.End()
-	d.met.finish(opCBC, len(src), err)
+	d.met.finish(sp, opCBC, len(src), err)
 	return st, err
 }
 
@@ -390,6 +417,8 @@ func (d *Device) encryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 	if len(dst) < len(src) {
 		return sim.Stats{}, fmt.Errorf("core: dst is %d bytes, need %d", len(dst), len(src))
 	}
+	// One block in flight, staged in the device's one-block scratch so the
+	// chaining loop performs no per-block slice allocations.
 	start := d.met.statsView()
 	prev := iv
 	var blk [16]byte
@@ -397,10 +426,11 @@ func (d *Device) encryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 		for j := 0; j < 16; j++ {
 			blk[j] = src[i+j] ^ prev[j]
 		}
-		if err := d.encryptBlockInPlace(ctx, &blk); err != nil {
+		d.oneBlk[0] = bits.LoadBlock128(blk[:])
+		if _, err := d.run(ctx, false, d.oneBlk[:], d.oneBlk[:]); err != nil {
 			return sim.Stats{}, err
 		}
-		copy(dst[i:], blk[:])
+		d.oneBlk[0].StoreBlock128(dst[i:])
 		prev = dst[i : i+16]
 	}
 	return d.met.statsView().Delta(start), nil
@@ -447,11 +477,7 @@ func AddCounter(iv []byte, n uint64) ([16]byte, error) {
 // turns the block cipher into a stream cipher. Decryption is the same
 // operation (DecryptCTR).
 func (d *Device) EncryptCTR(ctx context.Context, iv, src []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if _, err := d.EncryptCTRInto(ctx, dst, iv, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return fresh(src, func(dst []byte) (sim.Stats, error) { return d.EncryptCTRInto(ctx, dst, iv, src) })
 }
 
 // DecryptCTR inverts EncryptCTR; counter mode is an involution, so the
@@ -465,11 +491,9 @@ func (d *Device) DecryptCTR(ctx context.Context, iv, src []byte) ([]byte, error)
 // this call. On a warmed device with an active fastpath the call is
 // allocation-free (the benchmark gate in internal/fastpath pins this).
 func (d *Device) EncryptCTRInto(ctx context.Context, dst, iv, src []byte) (sim.Stats, error) {
-	d.met.calls[opCTR].Inc()
-	sp := d.met.lat[opCTR].Start()
+	sp := d.met.start(opCTR)
 	st, err := d.encryptCTRInto(ctx, dst, iv, src)
-	sp.End()
-	d.met.finish(opCTR, len(src), err)
+	d.met.finish(sp, opCTR, len(src), err)
 	return st, err
 }
 
@@ -491,7 +515,7 @@ func (d *Device) encryptCTRInto(ctx context.Context, dst, iv, src []byte) (sim.S
 		ctrs[i] = bits.LoadBlock128(c[:])
 		incCounter(&c)
 	}
-	stats, err := d.encryptInto(ctx, ctrs, ctrs)
+	stats, err := d.run(ctx, false, ctrs, ctrs)
 	if err != nil {
 		return sim.Stats{}, err
 	}
@@ -512,11 +536,7 @@ func (d *Device) encryptCTRInto(ctx context.Context, dst, iv, src []byte) (sim.S
 
 // DecryptCBC inverts EncryptCBC on the decryption datapath.
 func (d *Device) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if _, err := d.DecryptCBCInto(ctx, dst, iv, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return fresh(src, func(dst []byte) (sim.Stats, error) { return d.DecryptCBCInto(ctx, dst, iv, src) })
 }
 
 // DecryptCBCInto is DecryptCBC writing into a caller-supplied buffer
@@ -527,11 +547,9 @@ func (d *Device) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error)
 // caller already holds, which is why the farm can shard this entry point
 // where EncryptCBCInto serializes.
 func (d *Device) DecryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.Stats, error) {
-	d.met.calls[opDecCBC].Inc()
-	sp := d.met.lat[opDecCBC].Start()
+	sp := d.met.start(opDecCBC)
 	st, err := d.decryptCBCInto(ctx, dst, iv, src)
-	sp.End()
-	d.met.finish(opDecCBC, len(src), err)
+	d.met.finish(sp, opDecCBC, len(src), err)
 	return st, err
 }
 
@@ -539,7 +557,7 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 	if len(iv) != 16 {
 		return sim.Stats{}, fmt.Errorf("core: iv must be 16 bytes")
 	}
-	st, err := d.decryptECBInto(ctx, dst, src)
+	st, err := d.ecbInto(ctx, true, dst, src)
 	if err != nil {
 		return st, err
 	}
@@ -558,64 +576,26 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 // decrypt builders) shows the architecture carries the inverse ciphers
 // with the same structures — RC6 via SUB + negated-amount rotates,
 // Rijndael via the FIPS-197 equivalent inverse cipher, Serpent via the
-// inverse LT rows. The decryption program is compiled and loaded lazily on
-// first use.
+// inverse LT rows. The first decrypt call builds the decryption engine
+// the way configuration builds the encryption engine — load, trace
+// compile, Config.Validate gate — and its blocks and cycles count in
+// Report like encryption's. It decrypts at the device's unroll when the
+// cipher maps a decryptor there (program.Spec.DecryptDepths), else at the
+// deepest mapped depth below it: Serpent's inverse is mapped at depth 1
+// only, so a serpent-32 device decrypts on serpent-dec-1 and its Report
+// shows that program's cycles per block.
 func (d *Device) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return fresh(src, func(dst []byte) (sim.Stats, error) { return d.DecryptECBInto(ctx, dst, src) })
 }
 
 // DecryptECBInto is DecryptECB writing into a caller-supplied buffer
 // (len(dst) >= len(src)) and returning the simulator counters for exactly
 // this call — the farm's sharded-decrypt worker path.
 func (d *Device) DecryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
-	d.met.calls[opDecECB].Inc()
-	sp := d.met.lat[opDecECB].Start()
-	st, err := d.decryptECBInto(ctx, dst, src)
-	sp.End()
-	d.met.finish(opDecECB, len(src), err)
+	sp := d.met.start(opDecECB)
+	st, err := d.ecbInto(ctx, true, dst, src)
+	d.met.finish(sp, opDecECB, len(src), err)
 	return st, err
-}
-
-func (d *Device) decryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Stats{}, err
-	}
-	if len(src)%16 != 0 {
-		return sim.Stats{}, fmt.Errorf("core: input length %d is not a multiple of the block size", len(src))
-	}
-	if len(dst) < len(src) {
-		return sim.Stats{}, fmt.Errorf("core: dst is %d bytes, need %d", len(dst), len(src))
-	}
-	if d.decMachine == nil {
-		if err := d.buildDecryptor(); err != nil {
-			return sim.Stats{}, err
-		}
-	}
-	return program.RunBytes(d.decMachine, d.decProg, dst[:len(src)], src, program.Opts{})
-}
-
-// buildDecryptor compiles and loads the decryption datapath. Its machine
-// shares the device registry's observer, so the cobra_sim_* family covers
-// both directions.
-func (d *Device) buildDecryptor() error {
-	p, err := d.spec.BuildDecrypt(d.key, d.prog.HWRounds)
-	if err != nil {
-		return err
-	}
-	m, err := program.NewMachine(p)
-	if err != nil {
-		return err
-	}
-	m.Obs = sim.NewObserver(d.met.reg)
-	if err := program.Load(m, p); err != nil {
-		return err
-	}
-	d.decProg, d.decMachine = p, m
-	return nil
 }
 
 // Report summarizes a device's measured and modeled performance: the
@@ -635,13 +615,16 @@ type Report struct {
 
 // Report returns the accumulated performance counters combined with the
 // timing and area models — the quantities Tables 3, 5 and 6 report. The
-// counters sum every bulk encryption since configuration (or ResetStats)
-// across both engines: interpreter runs and fastpath runs (which report
-// the cycles the interpreter would have spent) accumulate identically.
+// counters sum every encryption and decryption since configuration (or
+// ResetStats) across both executors: interpreter runs and fastpath runs
+// (which report the cycles the interpreter would have spent) accumulate
+// identically. The clock and area models describe the encryption
+// program's array.
 // The view is derived from the device's obs registry, so Report agrees
 // with a concurrent /metrics scrape by construction.
 func (d *Device) Report() Report {
 	st := d.met.statsView()
+	p := d.enc.prog
 	cpb := 0.0
 	if st.BlocksOut > 0 {
 		cpb = float64(st.Cycles) / float64(st.BlocksOut)
@@ -651,16 +634,16 @@ func (d *Device) Report() Report {
 			Algorithm:      d.Algorithm(),
 			Backend:        "device",
 			Workers:        1,
-			Unroll:         d.prog.HWRounds,
-			Rows:           d.prog.Geometry.Rows,
+			Unroll:         p.HWRounds,
+			Rows:           p.Geometry.Rows,
 			Stats:          st,
 			CyclesPerBlock: cpb,
 			DatapathMHz:    d.timing.DatapathMHz,
 			ThroughputMbps: d.timing.ThroughputMbps(cpb),
 		},
-		Streaming: d.prog.Streaming,
+		Streaming: p.Streaming,
 		IRAMMHz:   d.timing.IRAMMHz,
-		Gates:     model.Table5(model.Table4(), d.prog.Geometry).Total(),
+		Gates:     model.Table5(model.Table4(), p.Geometry).Total(),
 	}
 }
 
@@ -675,7 +658,7 @@ func (d *Device) Summary() Summary { return d.Report().Summary }
 func (d *Device) ResetStats() { d.met.resetStats() }
 
 // Describe renders the configured architecture topology (figure 1 style).
-func (d *Device) Describe() string { return d.machine.Array.Describe() }
+func (d *Device) Describe() string { return d.enc.machine.Array.Describe() }
 
 // Microcode returns the loaded program size in 80-bit instruction words.
-func (d *Device) Microcode() int { return len(d.prog.Instrs) }
+func (d *Device) Microcode() int { return len(d.enc.prog.Instrs) }

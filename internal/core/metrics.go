@@ -49,7 +49,7 @@ var statMetricNames = [statCount]string{
 }
 
 var statMetricHelp = [statCount]string{
-	"Datapath cycles simulated by bulk encryption, both engines.",
+	"Datapath cycles simulated by bulk encryption and decryption, both engines.",
 	"Datapath cycles that advanced the sequencer.",
 	"Datapath cycles stalled on the READY/GO handshake.",
 	"Microcode instructions executed (or accounted by the fastpath).",
@@ -195,9 +195,16 @@ func (m *deviceMetrics) resetStats() {
 	}
 }
 
-// finish closes out one mode-level call: error or payload accounting.
-// Kept out of line from the latency span so the hot path has no defers.
-func (m *deviceMetrics) finish(md opMode, nbytes int, err error) {
+// start opens one mode-level call: its request count and latency span.
+func (m *deviceMetrics) start(md opMode) obs.Span {
+	m.calls[md].Inc()
+	return m.lat[md].Start()
+}
+
+// finish closes out one mode-level call: the latency span, then error or
+// payload accounting. Called inline, so the hot path has no defers.
+func (m *deviceMetrics) finish(sp obs.Span, md opMode, nbytes int, err error) {
+	sp.End()
 	if err != nil {
 		m.errs[md].Inc()
 		return

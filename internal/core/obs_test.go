@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cobra/internal/obs"
+	"cobra/internal/sim"
 )
 
 // counterValue digs one sample out of a registry gather; missing series
@@ -282,5 +283,37 @@ func TestEncryptCTRIntoAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("EncryptCTRInto: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestDecryptIntoAllocFree extends the gate to the decryption engine: once
+// a first call has built it (testing.AllocsPerRun's warm-up call),
+// DecryptECBInto and DecryptCBCInto perform no heap allocations.
+func TestDecryptIntoAllocFree(t *testing.T) {
+	d, err := Configure(Rijndael, key, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	iv := make([]byte, 16)
+	src := make([]byte, 16*64)
+	dst := make([]byte, len(src))
+	for _, c := range []struct {
+		name string
+		call func() (sim.Stats, error)
+	}{
+		{"DecryptECBInto", func() (sim.Stats, error) { return d.DecryptECBInto(ctx, dst, src) }},
+		{"DecryptCBCInto", func() (sim.Stats, error) { return d.DecryptCBCInto(ctx, dst, iv, src) }},
+	} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.call(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
+		}
+	}
+	if d.dec.fast == nil {
+		t.Fatalf("decryption did not compile a trace: %v", d.dec.compileErr)
 	}
 }

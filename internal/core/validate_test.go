@@ -7,9 +7,10 @@ import (
 )
 
 // TestValidateGateKeepsFastpath pins the Config.Validate gate on the happy
-// path: a proven trace stays installed, the device encrypts on the
-// fastpath, and reconfiguration carries the gate through (both the
-// same-geometry reload and the rebuild path re-validate the new trace).
+// path: a proven trace stays installed in each direction, the device
+// encrypts and decrypts on the fastpath, and reconfiguration carries the
+// gate through (both the same-geometry reload and the rebuild path
+// re-validate the new trace).
 func TestValidateGateKeepsFastpath(t *testing.T) {
 	d, err := Configure(RC6, key, Config{Unroll: 1, Validate: true})
 	if err != nil {
@@ -30,11 +31,14 @@ func TestValidateGateKeepsFastpath(t *testing.T) {
 	if !bytes.Equal(back, pt) {
 		t.Error("decrypt(encrypt(x)) != x under the validation gate")
 	}
+	if d.dec.fast == nil {
+		t.Fatalf("proven decryption trace was not installed: %v", d.dec.compileErr)
+	}
 
 	if err := d.Reconfigure(Serpent, key, Config{Unroll: 1, Validate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.validate {
+	if !d.cfg.Validate {
 		t.Error("Reconfigure dropped the validation gate")
 	}
 	if !d.UsesFastpath() {
@@ -49,7 +53,7 @@ func TestValidateGateOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.validate {
+	if d.cfg.Validate {
 		t.Error("validation gate enabled by the zero Config")
 	}
 	if !d.UsesFastpath() {

@@ -121,3 +121,47 @@ func TestFarmCBCMatchesDevice(t *testing.T) {
 		t.Error("partial block accepted")
 	}
 }
+
+// TestDeviceAndOneWorkerFarmCountAlike drives the same mixed-direction
+// calls through a device and a one-worker farm: the farm's tenant
+// accounting sums the per-call counters the device folds into its own, so
+// both Summaries must report the same Stats. Every message fits one shard,
+// so each farm call is one device call.
+func TestDeviceAndOneWorkerFarmCountAlike(t *testing.T) {
+	msg := testMessage(16 * 37)
+	iv := bytes.Repeat([]byte{0x6d}, 16)
+	calls := func(t *testing.T, c core.Cipher) {
+		ctx := context.Background()
+		ecb, err := c.EncryptECB(ctx, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cbc, err := c.EncryptCBC(ctx, iv, msg[:16*5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecryptECB(ctx, ecb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EncryptCTR(ctx, iv, msg[:100]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecryptCBC(ctx, iv, cbc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev, err := core.Configure(core.Rijndael, key, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := openFarm(t, 1, core.Rijndael, core.Config{})
+	calls(t, dev)
+	calls(t, f)
+	ds, fs := dev.Summary().Stats, f.Summary().Stats
+	if ds != fs {
+		t.Fatalf("device and one-worker farm diverge:\ndevice %+v\nfarm   %+v", ds, fs)
+	}
+	if want := 37 + 5 + 37 + 7 + 5; ds.BlocksOut != want {
+		t.Errorf("BlocksOut = %d, want %d across both directions", ds.BlocksOut, want)
+	}
+}

@@ -80,11 +80,12 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 }
 
 // TestFarmFastpathMatchesInterpreterFarm runs the same deterministic
-// workload through a fastpath farm and a forced-interpreter farm and
-// requires identical ciphertext and identical aggregate counters. A single
-// caller keeps the round-robin shard assignment deterministic, so each
-// worker pair sees the same call sequence and the per-call stats
-// equivalence proven in internal/fastpath must survive aggregation.
+// workload, in both directions, through a fastpath farm and a
+// forced-interpreter farm and requires identical output and identical
+// aggregate counters. A single caller keeps the round-robin shard
+// assignment deterministic, so each worker pair sees the same call
+// sequence and the per-call stats equivalence proven in internal/fastpath
+// must survive aggregation.
 func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
 	fast := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2})
 	interp := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2, Interpreter: true})
@@ -114,6 +115,25 @@ func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
 			}
 			if !bytes.Equal(gotECB, wantECB) {
 				t.Fatalf("call %d: ECB ciphertext diverges between farm engines", i)
+			}
+			for _, dec := range []struct {
+				name string
+				call func(f *Farm) ([]byte, error)
+			}{
+				{"ECB", func(f *Farm) ([]byte, error) { return f.DecryptECB(context.Background(), msg) }},
+				{"CBC", func(f *Farm) ([]byte, error) { return f.DecryptCBC(context.Background(), iv, msg) }},
+			} {
+				want, err := dec.call(interp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dec.call(fast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("call %d: %s plaintext diverges between farm engines", i, dec.name)
+				}
 			}
 		}
 	}

@@ -31,14 +31,14 @@ type Spec struct {
 	// Depths lists the legal unroll depths (rounds mapped into hardware),
 	// ascending.
 	Depths []int
-	// DecryptDepths lists the depths with a decryption mapping of their
-	// own. Serpent has a single decryptor at the paper's base granularity,
-	// which BuildDecrypt returns whatever the depth.
+	// DecryptDepths lists the depths with a decryption mapping, ascending.
+	// Serpent has a single decryptor, at the paper's base granularity.
 	DecryptDepths []int
-	// Build and BuildDecrypt compile the cipher at unroll depth hw, and
-	// Reference returns the host implementation every output is checked
-	// against. The des entry takes the first 8 bytes of a longer key, so
-	// one 16-byte measurement key drives the whole corpus.
+	// Build and BuildDecrypt compile the cipher at unroll depth hw and
+	// refuse a depth that Depths or DecryptDepths does not list; Reference
+	// returns the host implementation every output is checked against.
+	// The des entry takes the first 8 bytes of a longer key, so one 16-byte
+	// measurement key drives the whole corpus.
 	Build, BuildDecrypt func(key []byte, hw int) (*Program, error)
 	Reference           func(key []byte) (cipher.Block, error)
 	// Pack marshals whole cipher blocks into datapath superblocks and
@@ -74,12 +74,10 @@ var registry = []*Spec{
 	{
 		Name: "serpent", Rounds: cipher.SerpentRounds, BlockSize: 16, BlocksPerSuperblock: 1,
 		KeySizes: []int{16, 24, 32}, Depths: []int{1, 2, 4, 8, 16, 32}, DecryptDepths: []int{1},
-		Build: BuildSerpent,
-		BuildDecrypt: func(key []byte, _ int) (*Program, error) {
-			return BuildSerpentDecrypt(key)
-		},
-		Reference: reference(cipher.NewSerpentCOBRA),
-		Pack:      copySuperblocks, Unpack: copySuperblocks,
+		Build:        BuildSerpent,
+		BuildDecrypt: onlyDepth("serpent-dec", 1, BuildSerpentDecrypt),
+		Reference:    reference(cipher.NewSerpentCOBRA),
+		Pack:         copySuperblocks, Unpack: copySuperblocks,
 	},
 	{
 		Name: "rc5", Rounds: cipher.RC5Rounds, BlockSize: 8, BlocksPerSuperblock: 2,
@@ -116,15 +114,15 @@ var registry = []*Spec{
 		Pack:      packBE64, Unpack: unpackBE64,
 	},
 	{
-		// One round stage: BuildDES ignores the depth.
+		// One round stage, at depth 1.
 		Name: "des", Rounds: 16, BlockSize: 8, BlocksPerSuperblock: 1,
 		KeySizes: []int{8}, Depths: []int{1}, DecryptDepths: []int{1},
-		Build: func(key []byte, _ int) (*Program, error) {
+		Build: onlyDepth("des", 1, func(key []byte) (*Program, error) {
 			return BuildDES(desKey(key))
-		},
-		BuildDecrypt: func(key []byte, _ int) (*Program, error) {
+		}),
+		BuildDecrypt: onlyDepth("des-dec", 1, func(key []byte) (*Program, error) {
 			return BuildDESDecrypt(desKey(key))
-		},
+		}),
 		Reference: func(key []byte) (cipher.Block, error) {
 			return reference(cipher.NewDES)(desKey(key))
 		},
@@ -140,6 +138,17 @@ func reference[B cipher.Block](newBlock func([]byte) (B, error)) func([]byte) (c
 			return nil, err
 		}
 		return b, nil
+	}
+}
+
+// onlyDepth adapts a builder with a single mapped depth to the registry's
+// signature: any other depth is refused, not silently built at that one.
+func onlyDepth(name string, depth int, build func(key []byte) (*Program, error)) func([]byte, int) (*Program, error) {
+	return func(key []byte, hw int) (*Program, error) {
+		if hw != depth {
+			return nil, fmt.Errorf("program/%s: unroll depth %d has no mapping (only %d)", name, hw, depth)
+		}
+		return build(key)
 	}
 }
 

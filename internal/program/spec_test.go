@@ -37,9 +37,20 @@ func TestRegistryNamesUnique(t *testing.T) {
 	}
 }
 
+// direction is one of a spec's builders with the depths it lists.
+type direction struct {
+	name   string
+	build  func([]byte, int) (*Program, error)
+	depths []int
+}
+
+func directions(s *Spec) []direction {
+	return []direction{{"encrypt", s.Build, s.Depths}, {"decrypt", s.BuildDecrypt, s.DecryptDepths}}
+}
+
 // TestRegistryBuildsEveryDepth builds every listed depth in both
 // directions with every listed key size, and checks the programs carry the
-// spec's name and round count.
+// spec's name, round count and depth.
 func TestRegistryBuildsEveryDepth(t *testing.T) {
 	for _, s := range Specs() {
 		if s.BlockSize*s.BlocksPerSuperblock > 16 {
@@ -48,28 +59,51 @@ func TestRegistryBuildsEveryDepth(t *testing.T) {
 		if len(s.Depths) == 0 || !slices.IsSorted(s.Depths) {
 			t.Errorf("%s: depths %v not ascending", s.Name, s.Depths)
 		}
+		if len(s.DecryptDepths) == 0 || !slices.IsSorted(s.DecryptDepths) {
+			t.Errorf("%s: decrypt depths %v not ascending", s.Name, s.DecryptDepths)
+		}
 		for _, hw := range s.DecryptDepths {
 			if !slices.Contains(s.Depths, hw) {
 				t.Errorf("%s: decrypt depth %d is not a legal depth", s.Name, hw)
 			}
 		}
+		for _, hw := range s.Depths {
+			if s.Rounds%hw != 0 {
+				t.Errorf("%s: depth %d does not divide %d rounds", s.Name, hw, s.Rounds)
+			}
+		}
 		for _, n := range s.KeySizes {
 			key := bytes.Repeat([]byte{0x5c}, n)
-			for _, hw := range s.Depths {
-				if s.Rounds%hw != 0 {
-					t.Errorf("%s: depth %d does not divide %d rounds", s.Name, hw, s.Rounds)
-				}
-				for dir, build := range map[string]func([]byte, int) (*Program, error){
-					"encrypt": s.Build, "decrypt": s.BuildDecrypt,
-				} {
-					p, err := build(key, hw)
+			for _, d := range directions(s) {
+				for _, hw := range d.depths {
+					p, err := d.build(key, hw)
 					if err != nil {
-						t.Errorf("%s-%d %s, %d-byte key: %v", s.Name, hw, dir, n, err)
+						t.Errorf("%s-%d %s, %d-byte key: %v", s.Name, hw, d.name, n, err)
 						continue
 					}
-					if p.Cipher != s.Name || p.TotalRounds != s.Rounds {
-						t.Errorf("%s-%d %s: program %s is %s with %d rounds", s.Name, hw, dir, p.Name, p.Cipher, p.TotalRounds)
+					if p.Cipher != s.Name || p.TotalRounds != s.Rounds || p.HWRounds != hw {
+						t.Errorf("%s-%d %s: program %s is %s-%d with %d rounds",
+							s.Name, hw, d.name, p.Name, p.Cipher, p.HWRounds, p.TotalRounds)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegistryRefusesUnlistedDepths walks every entry in both directions:
+// a depth that Depths (or DecryptDepths) does not list is refused, never
+// built at some other depth.
+func TestRegistryRefusesUnlistedDepths(t *testing.T) {
+	for _, s := range Specs() {
+		key := bytes.Repeat([]byte{0x5c}, s.KeySizes[0])
+		for _, d := range directions(s) {
+			for hw := -1; hw <= 2*s.Rounds; hw++ {
+				if slices.Contains(d.depths, hw) {
+					continue
+				}
+				if p, err := d.build(key, hw); err == nil {
+					t.Errorf("%s %s: depth %d is not listed (%v) but built %s", s.Name, d.name, hw, d.depths, p.Name)
 				}
 			}
 		}
