@@ -9,7 +9,7 @@
 //	cobra-bench -table 3 -compare  # paper-vs-measured columns
 //	cobra-bench -figure 1       # architecture topology
 //	cobra-bench -batch 128      # batch size for the Table 3/6 sweep
-//	cobra-bench -json           # measured tables as JSON (for tooling)
+//	cobra-bench -json           # measured tables and the extended sweep as JSON
 //	cobra-bench -fastpath       # trace-compiled executor vs interpreter
 //	cobra-bench -fastpath -json # ...archived in the JSON report
 //	cobra-bench -farm           # mixed-tenant scheduler study (affinity vs round-robin)
@@ -172,7 +172,11 @@ func main() {
 	}
 
 	if *jsonOut {
-		out, err := bench.ReportJSON(ms, fms, *batch)
+		ext, err := bench.MeasureExtended(key, *batch)
+		if err != nil {
+			fatal(err)
+		}
+		out, err := bench.ReportJSON(ms, ext, fms, *batch)
 		if err != nil {
 			fatal(err)
 		}

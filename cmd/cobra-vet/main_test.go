@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,6 +111,30 @@ func TestBuiltinEquivGate(t *testing.T) {
 	}
 	if strings.Contains(s, "NOT proven") {
 		t.Errorf("corpus contains unproven programs:\n%s", s)
+	}
+	// Every full unroll but TEA's streams on a proven band layout, one
+	// band per pipeline stage plus the output band.
+	bands := map[string]int{
+		"rc6-20": 21, "rc6-dec-20": 21, "rijndael-10": 11, "rijndael-dec-10": 11,
+		"serpent-32": 33, "rc5-12": 13, "rc5-dec-12": 13,
+		"simon64-44": 45, "simon64-dec-44": 45, "tea-32": 0, "tea-dec-32": 0,
+	}
+	for _, line := range strings.Split(s, "\n") {
+		name, verdict, ok := strings.Cut(line, ": proven equivalent")
+		want, banded := bands[name]
+		if !ok || !banded {
+			continue
+		}
+		delete(bands, name)
+		if got := strings.Contains(verdict, fmt.Sprintf(", %d bands,", want)); want > 0 && !got {
+			t.Errorf("%s: verdict does not name %d bands: %s", name, want, line)
+		}
+		if want == 0 && strings.Contains(verdict, "bands") {
+			t.Errorf("%s: a trace without a band layout names bands: %s", name, line)
+		}
+	}
+	for name := range bands {
+		t.Errorf("no verdict line for %s", name)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestMeasureFastpath(t *testing.T) {
 		if !m.Verified {
 			t.Errorf("%s-%d: engines diverged", m.Alg, m.Rounds)
 		}
-		if m.FastNsPerBlk <= 0 || m.InterpNsPerBlk <= 0 {
+		if m.FastNsPerBlk <= 0 || m.InterpNsPerBlk <= 0 || m.FastCall1Ns <= 0 || m.InterpCall1Ns <= 0 {
 			t.Errorf("%s-%d: non-positive timing", m.Alg, m.Rounds)
 		}
 	}
@@ -32,7 +32,7 @@ func TestMeasureFastpath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReportJSON(ms, fms, 8)
+	out, err := ReportJSON(ms, nil, fms, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,5 +45,8 @@ func TestMeasureFastpath(t *testing.T) {
 	}
 	if txt := FastpathTableText(fms); len(txt) == 0 {
 		t.Fatal("empty table text")
+	}
+	if _, err := MeasureFastpath(Configurations()[0], key, 0); err == nil {
+		t.Error("an empty batch was measured")
 	}
 }

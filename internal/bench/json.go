@@ -20,6 +20,9 @@ type JSONReport struct {
 	Table3 []Measurement `json:"table3"`
 	// Table6 is the cycle-gates product sweep derived from Table3.
 	Table6 []model.CGRow `json:"table6"`
+	// Extended is the 64-bit corpus sweep (ExtendedConfigurations),
+	// measured at the same batch; its cycles and Mbps count 64-bit blocks.
+	Extended []Measurement `json:"extended"`
 	// GatesBase is the Table 5 total for the base 4x4 geometry.
 	GatesBase int `json:"gates_base_4x4"`
 	// Fastpath archives the interpreter-vs-trace-compiled executor
@@ -27,14 +30,16 @@ type JSONReport struct {
 	Fastpath []FastpathMeasurement `json:"fastpath,omitempty"`
 }
 
-// ReportJSON renders the measured tables as indented JSON. fms may be nil
-// when the fastpath comparison was not requested.
-func ReportJSON(ms []Measurement, fms []FastpathMeasurement, batch int) ([]byte, error) {
+// ReportJSON renders the measured tables as indented JSON: ms is the
+// Table 3 sweep and ext the extended one. fms may be nil when the fastpath
+// comparison was not requested.
+func ReportJSON(ms, ext []Measurement, fms []FastpathMeasurement, batch int) ([]byte, error) {
 	r := JSONReport{
 		ATMRequirementMbps: ATMRequirementMbps,
 		Batch:              batch,
 		Table3:             ms,
 		Table6:             Table6Rows(ms),
+		Extended:           ext,
 		GatesBase:          model.Table5(model.Table4(), datapath.BaseGeometry()).Total(),
 		Fastpath:           fms,
 	}

@@ -150,8 +150,18 @@ func Measure(c Config, key []byte, batch int) (Measurement, error) {
 
 // MeasureAll runs the whole Table 3 sweep.
 func MeasureAll(key []byte, batch int) ([]Measurement, error) {
+	return measureEach(Configurations(), key, batch)
+}
+
+// MeasureExtended runs the extended 64-bit corpus sweep
+// (ExtendedConfigurations) exactly like Table 3.
+func MeasureExtended(key []byte, batch int) ([]Measurement, error) {
+	return measureEach(ExtendedConfigurations(), key, batch)
+}
+
+func measureEach(cs []Config, key []byte, batch int) ([]Measurement, error) {
 	var out []Measurement
-	for _, c := range Configurations() {
+	for _, c := range cs {
 		m, err := Measure(c, key, batch)
 		if err != nil {
 			return nil, fmt.Errorf("%s-%d: %w", c.Alg, c.Rounds, err)

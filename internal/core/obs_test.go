@@ -286,6 +286,30 @@ func TestEncryptCTRIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestEncryptCBCIntoAllocFree extends the gate to CBC encryption: a chain
+// of 1-block calls on the streaming trace's band layout, which allocates
+// nothing once the device is warm.
+func TestEncryptCBCIntoAllocFree(t *testing.T) {
+	d, err := Configure(Rijndael, key, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.UsesFastpath() {
+		t.Fatal("device did not compile a fastpath")
+	}
+	ctx := context.Background()
+	iv := make([]byte, 16)
+	src := make([]byte, 16*64)
+	dst := make([]byte, len(src))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := d.EncryptCBCInto(ctx, dst, iv, src); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("EncryptCBCInto: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestDecryptIntoAllocFree extends the gate to the decryption engine: once
 // a first call has built it (testing.AllocsPerRun's warm-up call),
 // DecryptECBInto and DecryptCBCInto perform no heap allocations.

@@ -70,6 +70,7 @@ type Result struct {
 	Outputs int // boundaries compared before closure
 	Inputs  int // input blocks consumed before closure
 	Nodes   int // arena size at the end of the run
+	Bands   int // proven pipeline bands (0: whole-array evaluation)
 	Reason  string
 	Mism    *Mismatch
 	Wall    time.Duration
@@ -87,8 +88,12 @@ func (r *Result) Err() error {
 // own lines.
 func (r *Result) String() string {
 	if r.Proven {
-		return fmt.Sprintf("%s: proven equivalent (%d outputs, %d inputs, %d nodes, %v)",
-			r.Name, r.Outputs, r.Inputs, r.Nodes, r.Wall.Round(time.Microsecond))
+		bands := ""
+		if r.Bands > 0 {
+			bands = fmt.Sprintf(", %d bands", r.Bands)
+		}
+		return fmt.Sprintf("%s: proven equivalent (%d outputs, %d inputs, %d nodes%s, %v)",
+			r.Name, r.Outputs, r.Inputs, r.Nodes, bands, r.Wall.Round(time.Microsecond))
 	}
 	s := fmt.Sprintf("%s: NOT proven: %s", r.Name, r.Reason)
 	if m := r.Mism; m != nil {
@@ -295,6 +300,12 @@ func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 			}
 		}
 		if stable {
+			if tr.Bands != nil {
+				if res.Reason = proveBands(tr); res.Reason != "" {
+					return res
+				}
+				res.Bands = len(tr.Bands)
+			}
 			res.Proven = true
 			return res
 		}

@@ -880,6 +880,8 @@ func (a *Arena) render(sb *strings.Builder, id xid, depth int) {
 		fmt.Fprintf(sb, "%#x", n.val)
 	case opInput:
 		fmt.Fprintf(sb, "in[%d].%d", n.aux>>2, n.aux&3)
+	case opVar:
+		fmt.Fprintf(sb, "v%d", n.aux)
 	case opXor:
 		list("xor", n.val, n.val != 0)
 	case opAnd:

@@ -41,6 +41,11 @@ type fpWalker struct {
 	reg     [][datapath.Cols]xid
 	fb      [datapath.Cols]xid
 
+	// call > 0 walks one call of that many blocks on the trace's band
+	// layout, evaluating only its live bands as the executor does; 0 walks
+	// the whole array, the continuous stream.
+	call int
+
 	s8ids map[*[4][256]uint8]uint32
 	s4ids map[*[4][128]uint8]uint32
 	gfs   map[*[4][256]uint32]gfRec
@@ -105,26 +110,47 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 		return out, false
 	}
 	a := w.a
+	r0, r1 := 0, len(ct.Rows)
+	top, bottom := true, true
+	if w.call > 0 {
+		bands := w.tr.Bands
+		j, depth := w.inCount, len(bands)-1
+		if j >= w.call+depth {
+			// Past the call's last output: the executor has returned.
+			return out, false
+		}
+		lo, hi := max(0, j-w.call+1), min(j, depth)
+		r0 = bands[lo]
+		if hi < depth {
+			r1 = bands[hi+1]
+		}
+		top, bottom = lo == 0, hi == depth
+	}
 	var vec [datapath.Cols]xid
-	switch ct.InMode {
-	case isa.InExternal:
+	switch {
+	case !top:
+		vec = w.reg[r0-1]
+		w.inCount++
+	case ct.InMode == isa.InExternal:
 		for c := 0; c < datapath.Cols; c++ {
 			vec[c] = a.Input(w.inCount, c)
 		}
 		w.inCount++
-	case isa.InFeedback:
+	case ct.InMode == isa.InFeedback:
 		vec = w.fb
 	default:
 		for c := 0; c < datapath.Cols; c++ {
 			vec[c] = a.Const(ct.ERAMVec[c])
 		}
 	}
-	for c := 0; c < datapath.Cols; c++ {
-		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteIn[c])
+	if top {
+		for c := 0; c < datapath.Cols; c++ {
+			vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteIn[c])
+		}
 	}
 
 	prev := vec
-	for r := range ct.Rows {
+	for r := r0; r < r1; r++ {
 		row := &ct.Rows[r]
 		if row.Shuffle != nil {
 			vec = symShuffle(a, vec, row.Shuffle)
@@ -161,6 +187,9 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 		prev = rowIn
 	}
 
+	if !bottom {
+		return out, false
+	}
 	for c := 0; c < datapath.Cols; c++ {
 		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteOut[c])
 	}

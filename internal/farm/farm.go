@@ -52,7 +52,9 @@ var ErrClosed = errors.New("farm: closed")
 // defaultShardBlocks caps a shard at this many 128-bit blocks. Large
 // messages therefore split into several jobs per worker, which keeps the
 // queue busy (pipelining across shards) at the cost of one pipeline
-// fill-and-drain per shard on streaming configurations.
+// fill-and-drain per shard on streaming configurations. That cost is in
+// simulated cycles only: the fastpath evaluates just the pipeline bands a
+// shard's blocks occupy, so its host time does not pay the fill and drain.
 const defaultShardBlocks = 1024
 
 // workerQueueDepth is the per-worker queue capacity; dispatch blocks
@@ -414,8 +416,10 @@ func (f *Farm) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 // so the message cannot shard: the whole call is a single job serialized
 // onto one worker, and throughput degrades to a single device's
 // fill+drain-per-block rate exactly as the paper's Table 1 FB column
-// predicts. The farm still provides it so the unified Cipher surface is
-// mode-complete on every backend.
+// predicts. That rate is in simulated cycles; on the fastpath a 1-block
+// call evaluates only the band its block occupies, so the host does not
+// pay the fill and drain a second time. The farm still provides it so the
+// unified Cipher surface is mode-complete on every backend.
 func (f *Farm) EncryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
 	f.met.requests[modeCBC].Inc()
 	if len(iv) != 16 {

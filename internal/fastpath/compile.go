@@ -2,6 +2,7 @@ package fastpath
 
 import (
 	"fmt"
+	"slices"
 
 	"cobra/internal/bits"
 	"cobra/internal/datapath"
@@ -84,11 +85,89 @@ func Compile(src Source) (*Exec, error) {
 		return nil, fmt.Errorf("%w: %s: steady period emits no output", ErrNotSteady, src.Name)
 	}
 
+	e.bands = e.bandLayout()
 	if err := selfCheck(e, rec, src); err != nil {
 		return nil, err
 	}
 	e.Reset()
 	return e, nil
+}
+
+// bandLayout derives the pipeline band layout of a streaming trace from
+// its compiled cycles (the conditions are in the package doc): the first
+// row of each of the PipelineDepth+1 bands, then the row count. A trace
+// that does not prove a layout gets nil and evaluates the whole array.
+func (e *Exec) bandLayout() []int {
+	depth := e.src.PipelineDepth
+	if !e.src.Streaming || depth < 1 {
+		return nil
+	}
+	var regRows, regs []int
+	enabled := 0
+	for seg, ticks := range [][]cTick{e.head, e.period} {
+		for i := range ticks {
+			ct := &ticks[i]
+			if !ct.enabled {
+				continue
+			}
+			// Block j−depth emits at enabled cycle j: the head ends at its
+			// single output, so that is its enabled cycle depth, and every
+			// later enabled cycle emits.
+			if ct.inMode != isa.InExternal || ct.emit != (seg == 1 || enabled == depth) {
+				return nil
+			}
+			enabled++
+			var ok bool
+			regs, ok = wholeRegRows(ct, regs[:0])
+			if !ok || len(regs) != depth || (regRows != nil && !slices.Equal(regs, regRows)) {
+				return nil
+			}
+			if regRows == nil {
+				regRows = slices.Clone(regs)
+			}
+			for _, r := range regs {
+				if r+1 == len(ct.rows) {
+					continue
+				}
+				for c := range ct.rows[r+1].cells {
+					if ct.rows[r+1].cells[c].insel >= 4 {
+						return nil
+					}
+				}
+			}
+		}
+	}
+	bands := make([]int, 1, depth+2)
+	for _, r := range regRows {
+		bands = append(bands, r+1)
+	}
+	return append(bands, e.rows)
+}
+
+// wholeRegRows appends the registered rows of an enabled cycle to regs; ok
+// is false when a row registers only some of its cells or a register
+// holds.
+func wholeRegRows(ct *cTick, regs []int) ([]int, bool) {
+	for r := range ct.rows {
+		n := 0
+		for c := range ct.rows[r].cells {
+			cell := &ct.rows[r].cells[c]
+			if cell.regOnly {
+				return regs, false
+			}
+			if cell.reg {
+				n++
+			}
+		}
+		switch n {
+		case 0:
+		case datapath.Cols:
+			regs = append(regs, r)
+		default:
+			return regs, false
+		}
+	}
+	return regs, true
 }
 
 func countEmits(ticks []cTick) int {
@@ -144,25 +223,37 @@ func snapshotLUTs(rec *recording) []*rce.LUTStore {
 	return luts
 }
 
-// selfCheck replays the recorded inputs through the freshly compiled trace
-// and requires bit-identical outputs and counters before the executor is
+// selfCheck replays the recorded inputs through the freshly compiled trace,
+// on the whole array and then on its band layout if it has one, and
+// requires bit-identical outputs and counters before the executor is
 // released — the last line of the equivalence proof, and a guard against
 // compiler bugs on programs outside the test matrix.
 func selfCheck(e *Exec, rec *recording, src Source) error {
+	layouts := [][]int{nil}
+	if e.bands != nil {
+		layouts = append(layouts, e.bands)
+	}
 	in := recordInputs(recBlocks, src)
 	dst := make([]bits.Block128, recBlocks)
-	st, err := e.EncryptInto(dst, in[:recBlocks])
-	if err != nil {
-		return fmt.Errorf("%w: %s: self-check: %v", ErrNotSteady, src.Name, err)
-	}
-	if st != rec.final {
-		return fmt.Errorf("%w: %s: self-check counters %+v != recorded %+v",
-			ErrNotSteady, src.Name, st, rec.final)
-	}
 	got := rec.m.Outputs()
-	for i := range dst {
-		if dst[i] != got[i] {
-			return fmt.Errorf("%w: %s: self-check output %d mismatch", ErrNotSteady, src.Name, i)
+	for _, e.bands = range layouts {
+		how := "whole-array"
+		if e.bands != nil {
+			how = "banded"
+		}
+		e.Reset()
+		st, err := e.EncryptInto(dst, in[:recBlocks])
+		if err != nil {
+			return fmt.Errorf("%w: %s: %s self-check: %v", ErrNotSteady, src.Name, how, err)
+		}
+		if st != rec.final {
+			return fmt.Errorf("%w: %s: %s self-check counters %+v != recorded %+v",
+				ErrNotSteady, src.Name, how, st, rec.final)
+		}
+		for i := range dst {
+			if dst[i] != got[i] {
+				return fmt.Errorf("%w: %s: %s self-check output %d mismatch", ErrNotSteady, src.Name, how, i)
+			}
 		}
 	}
 	return nil

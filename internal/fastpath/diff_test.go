@@ -80,7 +80,10 @@ func randomBlocks(rng *rand.Rand, n int) []bits.Block128 {
 // and requires identical ciphertext and identical per-call counters. The
 // batch sizes deliberately mix single blocks with longer runs so iterative
 // programs resume mid-epilogue and streaming programs hit the
-// reload-per-call path and mid-period resume points.
+// reload-per-call path and mid-period resume points. Streaming programs
+// then take calls that straddle their pipeline depth: fill and drain
+// overlapping, meeting, and separated by a steady state in which every
+// band is live.
 func TestDifferentialAllBuilders(t *testing.T) {
 	for _, c := range allBuilders() {
 		c := c
@@ -102,8 +105,12 @@ func TestDifferentialAllBuilders(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			sizes := []int{1, 3, 1, 7, 2, 5, 1, 1, 4}
+			if d := p.PipelineDepth; p.Streaming {
+				sizes = append(sizes, d-1, d, d+1, d+2, 2*d+3)
+			}
 			rng := rand.New(rand.NewSource(0xc0b2a))
-			for call, n := range []int{1, 3, 1, 7, 2, 5, 1, 1, 4} {
+			for call, n := range sizes {
 				in := randomBlocks(rng, n)
 				want := make([]bits.Block128, n)
 				wantStats, err := program.Run(m, p, want, in, program.Opts{})
@@ -131,31 +138,37 @@ func TestDifferentialAllBuilders(t *testing.T) {
 
 // TestDifferentialAliasing verifies the executor honors EncryptInto's
 // aliasing contract (dst may be the same slice as blocks), which the bulk
-// byte paths rely on for in-place conversion.
+// byte paths rely on for in-place conversion, on an iterative program and
+// on a streaming one's band layout.
 func TestDifferentialAliasing(t *testing.T) {
 	key := make([]byte, 16)
-	p, err := program.BuildRC6(key, 2, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := p.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	in := randomBlocks(rng, 9)
-	sep := make([]bits.Block128, len(in))
-	if _, err := ex.EncryptInto(sep, in); err != nil {
-		t.Fatal(err)
-	}
-	ex.Reset()
-	alias := append([]bits.Block128(nil), in...)
-	if _, err := ex.EncryptInto(alias, alias); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sep {
-		if alias[i] != sep[i] {
-			t.Fatalf("block %d: aliased output %08x != separate-buffer output %08x", i, alias[i], sep[i])
+	for _, build := range []func() (*program.Program, error){
+		func() (*program.Program, error) { return program.BuildRC6(key, 2, 20) },
+		func() (*program.Program, error) { return program.BuildRijndael(key, 10) },
+	} {
+		p, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		in := randomBlocks(rng, 13)
+		sep := make([]bits.Block128, len(in))
+		if _, err := ex.EncryptInto(sep, in); err != nil {
+			t.Fatal(err)
+		}
+		ex.Reset()
+		alias := append([]bits.Block128(nil), in...)
+		if _, err := ex.EncryptInto(alias, alias); err != nil {
+			t.Fatal(err)
+		}
+		for i := range sep {
+			if alias[i] != sep[i] {
+				t.Fatalf("%s block %d: aliased output %08x != separate-buffer output %08x", p.Name, i, alias[i], sep[i])
+			}
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // one past the last executed cycle (len(ticks) when it ran to the end).
 // Stall cycles only move counters; enabled cycles move one 128-bit vector
 // down the array exactly as datapath.Tick would, but with every
-// configuration decision pre-resolved.
+// configuration decision pre-resolved. On a banded trace an enabled cycle
+// evaluates only the bands that hold one of the call's want blocks (see
+// the package doc).
 //
 //cobra:hotpath
 func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
@@ -25,24 +27,40 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 		if !ct.enabled {
 			continue
 		}
+		// Rows [r0, r1) are evaluated. Every enabled cycle of a banded
+		// trace consumes a block, so *inPos is the cycle's index j, and
+		// band s holds block j−s.
+		r0, r1 := 0, len(ct.rows)
+		top, bottom := true, true
+		if e.bands != nil {
+			j, depth := *inPos, len(e.bands)-2
+			lo, hi := max(0, j-want+1), min(j, depth)
+			r0, r1 = e.bands[lo], e.bands[hi+1]
+			top, bottom = lo == 0, hi == depth
+		}
 		var vec bits.Block128
-		switch ct.inMode {
-		case isa.InExternal:
+		switch {
+		case !top:
+			// Band 0 would take a flush block; the first live band starts
+			// from the register row above it.
+			vec = e.reg[r0-1]
+			*inPos++
+		case ct.inMode == isa.InExternal:
 			vec = in[*inPos]
 			*inPos++
-		case isa.InFeedback:
+		case ct.inMode == isa.InFeedback:
 			vec = e.fb
 		default:
 			vec = ct.eramVec
 		}
-		if ct.anyWhite {
+		if top && ct.anyWhite {
 			for c := 0; c < datapath.Cols; c++ {
 				vec[c] = ct.whiteIn[c].apply(vec[c])
 			}
 		}
 
 		prev := vec
-		for r := range ct.rows {
+		for r := r0; r < r1; r++ {
 			row := &ct.rows[r]
 			if row.shuffle != nil {
 				vec = shuffleBytes(vec, row.shuffle)
@@ -80,6 +98,10 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 			prev = rowIn
 		}
 
+		if !bottom {
+			// Band depth holds no block of the call yet: nothing emits.
+			continue
+		}
 		if ct.anyWhite {
 			for c := 0; c < datapath.Cols; c++ {
 				vec[c] = ct.whiteOut[c].apply(vec[c])

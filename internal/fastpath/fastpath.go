@@ -27,8 +27,9 @@
 // ports active during bulk encryption, key-request handshakes, aperiodic
 // output cadence — are refused by Compile; callers fall back to the
 // interpreter (program.Run with Opts.Fast automates this). As a final guard,
-// Compile replays the recorded inputs through the freshly compiled trace
-// and requires bit-identical outputs and counters before returning it.
+// Compile replays the recorded inputs through the freshly compiled trace,
+// on the whole array and on its band layout (below), and requires
+// bit-identical outputs and counters before returning it.
 //
 // # Cycle accounting
 //
@@ -47,6 +48,27 @@
 // exactly where the interpreter would. The differential tests in this
 // package cross-check ciphertext and counters against the interpreter for
 // every builder at every depth and window.
+//
+// The counters are simulated cycles: a streaming call still pays its full
+// pipeline fill and drain in sim.Stats. Host time need not pay it twice.
+// Compile gives a streaming trace a pipeline band layout when its compiled
+// cycles prove one: every enabled cycle consumes an external block; the
+// registered rows are whole rows, PipelineDepth of them, at the same
+// positions on every enabled cycle, and none is held; no cell of the row
+// after a register row reads the previous row's input; and block j−depth
+// is emitted at enabled cycle j, nothing before. Band s is the run of rows
+// that ends at the s-th register row (band depth is the rows below the
+// last one, possibly none), and it holds block j−s at enabled cycle j.
+// Under those conditions a band's cycle reads nothing from another band
+// but the register row above it, which band s−1 wrote on the previous
+// cycle with the previous stage of the same block. So a call of n blocks
+// evaluates, on enabled cycle j, only bands max(0, j−n+1)..min(j, depth):
+// the ones holding one of its blocks. Dead bands hold flush blocks or the
+// reload state, which no output of the call reads, and flush blocks are
+// never staged. A cycle on which every band is live runs the whole array,
+// and counters are added on every cycle, live or not. The set of evaluated
+// cells depends only on the call's block count, never on data or key.
+// Package equiv proves the layout for every call length.
 package fastpath
 
 import (
@@ -98,6 +120,10 @@ type Exec struct {
 
 	rows int
 
+	// bands is the pipeline band layout of a streaming trace: the first
+	// row of each band, then the row count. Nil: whole-array evaluation.
+	bands []int
+
 	initReg [][datapath.Cols]uint32
 	initFB  bits.Block128
 
@@ -126,7 +152,9 @@ func (e *Exec) Dirty() bool { return e.dirty }
 
 // Reset restores the post-load state: the executor behaves as if the
 // program had just been reloaded on a fresh machine (counters restart at
-// the head segment). core.Device calls this when microcode is reloaded.
+// the head segment). EncryptInto calls it when a streaming program is
+// dirty, as the interpreter reloads one per call; a device that reloads
+// microcode builds a new executor instead.
 func (e *Exec) Reset() {
 	copy(e.reg, e.initReg)
 	e.fb = e.initFB
@@ -146,10 +174,12 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 		return sim.Stats{}, fmt.Errorf("fastpath: dst holds %d blocks, need %d", len(dst), n)
 	}
 
-	// Stage the inputs (plus pipeline flush for streaming programs) before
-	// writing any output, preserving the interpreter's aliasing contract.
+	// Stage the inputs (plus pipeline flush for streaming programs that
+	// evaluate the whole array) before writing any output, preserving the
+	// interpreter's aliasing contract. A banded trace never reads a flush
+	// block, so it stages none.
 	need := n
-	if e.src.Streaming {
+	if e.src.Streaming && e.bands == nil {
 		need += e.src.PipelineDepth + 1
 	}
 	if cap(e.inBuf) < need {

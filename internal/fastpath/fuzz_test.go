@@ -12,8 +12,10 @@ import (
 // and counters. Trace compilation must succeed for every key: the control
 // schedule is key-independent (keys only change eRAM contents), so a key
 // that broke compilation — or diverged — would falsify the steady-state
-// proof. Run via `go test -fuzz=FuzzFastpathVsInterpreter`; CI runs a
-// short smoke.
+// proof. Selectors 0-7 are partial unrolls; 8-12 are full-unroll streaming
+// programs, whose calls reload and run on the pipeline band layout (tea-32
+// has none and evaluates the whole array, the control). Run via
+// `go test -fuzz=FuzzFastpathVsInterpreter`; CI runs a short smoke.
 func FuzzFastpathVsInterpreter(f *testing.F) {
 	f.Add(uint8(0), []byte("an-example-key-1"), []byte("attack at dawn!!attack at dusk!!"))
 	f.Add(uint8(1), make([]byte, 16), []byte{})
@@ -29,7 +31,7 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 
 		var p *program.Program
 		var err error
-		switch sel % 8 {
+		switch sel % 13 {
 		case 0:
 			p, err = program.BuildRC6(key, 2, 20)
 		case 1:
@@ -44,8 +46,18 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 			p, err = program.BuildSIMON(key, 4)
 		case 6:
 			p, err = program.BuildBlowfish(key, 1)
-		default:
+		case 7:
 			p, err = program.BuildDES(key[:8])
+		case 8:
+			p, err = program.BuildRijndael(key, 10)
+		case 9:
+			p, err = program.BuildRC6(key, 20, 20)
+		case 10:
+			p, err = program.BuildRC5(key, 12, 12)
+		case 11:
+			p, err = program.BuildSIMON(key, 44)
+		default:
+			p, err = program.BuildTEA(key, 32)
 		}
 		if err != nil {
 			t.Fatalf("build: %v", err)
@@ -63,10 +75,15 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 		}
 
 		// Full blocks only; cap the batch so a large fuzz input doesn't
-		// stall the interpreter side.
+		// stall the interpreter side. A streaming call may run past its
+		// pipeline depth, so fill, steady state and drain all occur.
+		maxBlocks := 8
+		if p.Streaming {
+			maxBlocks = p.PipelineDepth + 3
+		}
 		n := len(ptData) / 16
-		if n > 8 {
-			n = 8
+		if n > maxBlocks {
+			n = maxBlocks
 		}
 		if n == 0 {
 			ptData = append(ptData, make([]byte, 16)...)

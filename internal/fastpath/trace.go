@@ -7,16 +7,28 @@ import (
 )
 
 // Trace is the exported view of a compiled executor: the complete per-cycle
-// op-list IR, the initial data state, and the resume/reload policy. It
-// exists so that independent checkers (package equiv's translation
-// validator) can reason about exactly what EncryptInto executes without
-// reaching into this package's internals. Table pointers are shared with
-// the live executor — treat them as read-only.
+// op-list IR, the initial data state, the resume/reload policy and the
+// pipeline band layout. It exists so that independent checkers (package
+// equiv's translation validator) can reason about exactly what EncryptInto
+// executes without reaching into this package's internals: on each enabled
+// cycle of a call of n blocks, a banded trace evaluates only the bands
+// max(0, j−n+1)..min(j, len(Bands)−1), where j counts the call's enabled
+// cycles, and every other trace the whole array. Which cells a call
+// evaluates therefore depends on its block count alone, never on data or
+// key. Table pointers are shared with the live executor — treat them as
+// read-only.
 type Trace struct {
 	Name          string
 	Rows          int
 	Streaming     bool
 	PipelineDepth int
+
+	// Bands is the first row of each pipeline band of a streaming trace,
+	// PipelineDepth+1 of them; band s ends where band s+1 starts (the last
+	// at Rows) and holds block j−s at enabled cycle j. A band after the
+	// first starts from the stored value of the register row above it.
+	// Nil: the trace evaluates the whole array on every enabled cycle.
+	Bands []int
 
 	InitReg [][datapath.Cols]uint32
 	InitFB  bits.Block128
@@ -118,6 +130,9 @@ func (e *Exec) Trace() *Trace {
 		InitFB:        e.initFB,
 		Head:          exportTicks(e.head),
 		Period:        exportTicks(e.period),
+	}
+	if e.bands != nil {
+		tr.Bands = append([]int(nil), e.bands[:len(e.bands)-1]...)
 	}
 	return tr
 }

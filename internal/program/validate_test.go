@@ -1,6 +1,7 @@
 package program
 
 import (
+	"strings"
 	"testing"
 
 	"cobra/internal/equiv"
@@ -200,5 +201,46 @@ func TestSeededDefectCorruptedTTable(t *testing.T) {
 	requireRejected(t, res)
 	if res.Mism.Ref == res.Mism.FP {
 		t.Errorf("corrupted-table mismatch renders both sides identically:\n  %s", res.Mism.Ref)
+	}
+}
+
+// TestSeededDefectBandLayout corrupts rijndael-10's band layout and
+// requires the validator to refuse it, naming the call length and what
+// failed: every band boundary moved one row up, so each band after the
+// first starts below a row that holds no register, and the output band
+// dropped, so the walk stops before its block emerges.
+func TestSeededDefectBandLayout(t *testing.T) {
+	p, err := BuildRijndael(validationKey(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(bands []int) []int
+		reason string
+	}{
+		{"shifted", func(b []int) []int {
+			for s := 1; s < len(b); s++ {
+				b[s]--
+			}
+			return b
+		}, "band layout fails on a 1-block call: output 0 col 0 differs from the full array's\n  banded: v"},
+		{"truncated", func(b []int) []int { return b[:len(b)-1] }, "band layout fails on a 1-block call: "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := validateMutated(t, p, func(tr *fastpath.Trace) bool {
+				if tr.Bands == nil {
+					return false
+				}
+				tr.Bands = c.mutate(tr.Bands)
+				return true
+			})
+			if res.Proven {
+				t.Fatalf("corrupted band layout was proven:\n%s", res)
+			}
+			if !strings.Contains(res.Reason, c.reason) {
+				t.Fatalf("refusal does not name the call length:\n%s", res)
+			}
+		})
 	}
 }
