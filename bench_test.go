@@ -347,7 +347,7 @@ func BenchmarkFarm(b *testing.B) {
 	for _, mode := range []string{"ctr", "decrypt_cbc"} {
 		for _, workers := range []int{1, 2, 4, 8, 16} {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				pool, err := farm.NewPool(farm.Options{Workers: workers})
+				pool, err := farm.NewPool(workers)
 				if err != nil {
 					b.Fatal(err)
 				}

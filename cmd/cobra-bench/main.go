@@ -14,7 +14,6 @@
 //	cobra-bench -fastpath -json # ...archived in the JSON report
 //	cobra-bench -farm           # mixed-tenant scheduler study (affinity vs round-robin)
 //	cobra-bench -farm -json     # ...as BENCH_farm.json
-//	cobra-bench -farm -farm-baseline BENCH_farm.json  # CI regression gate
 //	cobra-bench -metrics-dump   # Prometheus counter dump after the run
 package main
 
@@ -45,7 +44,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the measured table metrics as JSON instead of text")
 	fastpath := flag.Bool("fastpath", false, "measure the trace-compiled executor against the interpreter")
 	farmStudy := flag.Bool("farm", false, "run the mixed-tenant farm scheduler study (affinity vs round-robin)")
-	farmBaseline := flag.String("farm-baseline", "", "archived -farm -json report to gate against (30% Mbps tolerance); requires -farm")
 	farmWorkers := flag.String("farm-workers", "1,2,4,8,16", "comma-separated pool widths for the -farm study")
 	metricsDump := flag.Bool("metrics-dump", false, "write a Prometheus text dump of all counters to stderr after the run")
 	flag.Parse()
@@ -78,24 +76,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *farmBaseline != "" {
-			raw, err := os.ReadFile(*farmBaseline)
-			if err != nil {
-				fatal(err)
-			}
-			var base bench.FarmReport
-			if err := json.Unmarshal(raw, &base); err != nil {
-				fatal(fmt.Errorf("parse %s: %v", *farmBaseline, err))
-			}
-			if regs := bench.FarmCompare(rep, &base, 0.30); len(regs) != 0 {
-				for _, r := range regs {
-					fmt.Fprintln(os.Stderr, "cobra-bench: farm regression:", r)
-				}
-				os.Exit(1)
-			}
-		}
 		if *jsonOut {
-			out, err := bench.FarmReportJSON(rep)
+			out, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {
 				fatal(err)
 			}

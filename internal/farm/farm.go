@@ -10,7 +10,7 @@
 // same data-parallel mapping the related work applies to replicated SIMON
 // cores and programmable-hardware crypto kernels (PAPERS.md).
 //
-// Dispatch is program-aware (see pool.go): shards are placed on workers
+// Dispatch is program-aware (see placer.go): shards are placed on workers
 // whose device already holds the tenant's compiled program, and idle
 // workers steal work — same-program first. A Farm is always a tenant of
 // a Pool: the owner creates the pool with NewPool, opens a Farm per
@@ -57,9 +57,9 @@ var ErrClosed = errors.New("farm: closed")
 // shard's blocks occupy, so its host time does not pay the fill and drain.
 const defaultShardBlocks = 1024
 
-// workerQueueDepth is the per-worker queue capacity; dispatch blocks
+// WorkerQueueDepth is the per-worker queue capacity; dispatch blocks
 // (backpressure) once a worker is this many shards behind.
-const workerQueueDepth = 2
+const WorkerQueueDepth = 2
 
 // stealBacklog is the minimum queue depth of a victim worker before an
 // idle worker performs a cross-program steal — a steal that costs the
@@ -159,8 +159,8 @@ var _ core.Cipher = (*Farm)(nil)
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
 // cfg configures the tenant's devices. The key and config are validated
-// eagerly by configuring a probe device, which is donated to an idle
-// worker when one is free to take it (warming the tenant's first
+// eagerly by configuring a probe device, which is donated to a worker
+// that was never bound, while one is left (warming the tenant's first
 // placement).
 //
 // Closing a tenant Farm does not close the pool; closing the pool
@@ -190,30 +190,23 @@ func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, err
 	f.reg = obs.NewRegistry()
 	f.met = newFarmMetrics(f.reg)
 
-	// Donate the probe to an idle device-less worker and pre-bind it, so
-	// the tenant's first shards land on an already-configured device.
+	// Donate the probe to a never-bound worker and bind it, so the
+	// tenant's first shards land on an already-configured device.
 	p.closeMu.RLock()
 	defer p.closeMu.RUnlock()
 	if p.closed {
 		return nil, ErrClosed
 	}
-	var gifted *worker
 	p.mu.Lock()
-	for _, w := range p.workers {
-		// Check running first: w.dev may only be read once the worker is
-		// seen idle under mu (a running worker writes dev unlocked in
-		// ensure; running=false is published under mu after that write).
-		if !w.running && len(w.q) == 0 && !w.boundSet && w.dev == nil {
-			w.dev = probe
-			w.loaded, w.loadedSet = f.pk, true
-			w.bound, w.boundSet = f.pk, true
-			gifted = w
-			break
-		}
+	i, gifted := p.pl.Gift(f.pk)
+	if gifted {
+		w := p.workers[i]
+		w.dev = probe
+		w.loaded, w.loadedSet = f.pk, true
 	}
 	p.mu.Unlock()
-	if gifted != nil {
-		p.reg.Attach(probe.Obs(), obs.L("worker", strconv.Itoa(gifted.idx)))
+	if gifted {
+		p.reg.Attach(probe.Obs(), obs.L("worker", strconv.Itoa(i)))
 	}
 	return f, nil
 }

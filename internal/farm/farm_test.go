@@ -58,7 +58,7 @@ func reference(t *testing.T, alg core.Algorithm) cipher.Block {
 // size; the pool closes at test cleanup.
 func openFarm(t testing.TB, workers int, alg core.Algorithm, cfg core.Config) *Farm {
 	t.Helper()
-	p, err := NewPool(Options{Workers: workers})
+	p, err := NewPool(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFarmECBMatchesSingleDevice(t *testing.T) {
 }
 
 func TestFarmValidation(t *testing.T) {
-	if _, err := NewPool(Options{Workers: -1}); err == nil {
+	if _, err := NewPool(-1); err == nil {
 		t.Error("negative workers accepted")
 	}
 	f := openFarm(t, 1, core.Rijndael, core.Config{Unroll: 1})
@@ -319,7 +319,7 @@ func TestFarmScalingMonotonic(t *testing.T) {
 func TestFarmQueueSignals(t *testing.T) {
 	const workers = 3
 	f := openFarm(t, workers, core.Rijndael, core.Config{Unroll: 1})
-	if got, want := f.QueueCapacity(), workers*workerQueueDepth; got != want {
+	if got, want := f.QueueCapacity(), workers*WorkerQueueDepth; got != want {
 		t.Fatalf("QueueCapacity = %d, want %d", got, want)
 	}
 	if d := f.QueueDepth(); d != 0 {
@@ -336,7 +336,7 @@ func TestFarmQueueSignals(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		const shards = workers*(workerQueueDepth+1) + 2
+		const shards = workers*(WorkerQueueDepth+1) + 2
 		_, err := f.EncryptCTR(context.Background(), make([]byte, 16),
 			testMessage(16*shards*defaultShardBlocks))
 		done <- err

@@ -11,29 +11,22 @@ import (
 	"cobra/internal/core"
 )
 
-// TestOptionsDefaults pins the Options surface: zero values fill in,
-// set values pass through, and invalid values error.
-func TestOptionsDefaults(t *testing.T) {
-	o, err := Options{}.withDefaults()
+// TestNewPoolWorkers pins the pool's one setting: a worker count is
+// used as given, and a count below 1 is refused.
+func TestNewPoolWorkers(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if p, err := NewPool(n); err == nil {
+			p.Close()
+			t.Errorf("NewPool(%d) accepted", n)
+		}
+	}
+	p, err := NewPool(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o != (Options{Workers: 4, Policy: PolicyAffinity}) {
-		t.Errorf("unexpected defaults: %+v", o)
-	}
-	set := Options{Workers: 3, Policy: PolicyRoundRobin}
-	if o, err := set.withDefaults(); err != nil || o != set {
-		t.Errorf("set options rewritten: %+v (%v)", o, err)
-	}
-	if _, err := (Options{Workers: -1}).withDefaults(); err == nil {
-		t.Error("negative workers accepted")
-	}
-	if _, err := (Options{Policy: "lifo"}).withDefaults(); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if p, err := NewPool(Options{Policy: "bogus"}); err == nil {
-		p.Close()
-		t.Error("NewPool with a bogus policy accepted")
+	defer p.Close()
+	if p.Workers() != 3 || p.QueueCapacity() != 3*WorkerQueueDepth {
+		t.Errorf("NewPool(3): %d workers, queue capacity %d", p.Workers(), p.QueueCapacity())
 	}
 }
 
@@ -145,7 +138,7 @@ func TestFarmSameProgramSteal(t *testing.T) {
 		}
 	}
 	release(0)
-	for f.pool.SchedStats().ProgramSteals == 0 {
+	for f.pool.met.stealsSame.Value() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("no same-program steal while a worker was held with a backlog")
@@ -156,8 +149,8 @@ func TestFarmSameProgramSteal(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := f.pool.SchedStats(); st.Reconfigures != 0 {
-		t.Errorf("same-program steals paid %d reconfigurations, want 0", st.Reconfigures)
+	if n := f.pool.met.reconfigs.Value(); n != 0 {
+		t.Errorf("same-program steals paid %d reconfigurations, want 0", n)
 	}
 }
 
@@ -166,7 +159,7 @@ func TestFarmSameProgramSteal(t *testing.T) {
 // disjoint workers after warmup, so steady-state traffic pays zero
 // reconfigurations.
 func TestPoolMultiTenantAffinity(t *testing.T) {
-	p, err := NewPool(Options{Workers: 4})
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,18 +189,17 @@ func TestPoolMultiTenantAffinity(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		round()
 	}
-	warm := p.SchedStats()
-	if warm.Reconfigures > 4 {
-		t.Errorf("warmup paid %d reconfigurations, want <= 4", warm.Reconfigures)
+	warmReconfigs, warmHits := p.met.reconfigs.Value(), p.met.affinity.Value()
+	if warmReconfigs > 4 {
+		t.Errorf("warmup paid %d reconfigurations, want <= 4", warmReconfigs)
 	}
 	for i := 0; i < 8; i++ {
 		round()
 	}
-	st := p.SchedStats()
-	if d := st.Reconfigures - warm.Reconfigures; d != 0 {
+	if d := p.met.reconfigs.Value() - warmReconfigs; d != 0 {
 		t.Errorf("steady state paid %d reconfigurations, want 0", d)
 	}
-	if st.AffinityHits <= warm.AffinityHits {
+	if p.met.affinity.Value() <= warmHits {
 		t.Error("no affinity hits recorded in steady state")
 	}
 	// Tenant reports are independent: both saw traffic, and closing one
@@ -232,70 +224,12 @@ func TestPoolMultiTenantAffinity(t *testing.T) {
 	}
 }
 
-// TestPlacementCountsRunningJob pins the least-loaded rule: a worker
-// running a shard with one more queued carries more load than a sibling
-// holding one shard its goroutine has not picked up yet, so the next
-// shard goes to the sibling. Queueing it behind the running worker
-// would leave a backlog of stealBacklog there for an idle worker of
-// another program to cross-steal (TestPoolMultiTenantAffinity's
-// steady-state reconfigurations under -race).
-func TestPlacementCountsRunningJob(t *testing.T) {
-	pk := progKey{alg: core.Rijndael}
-	p := &Pool{opts: Options{Workers: 2, Policy: PolicyAffinity}}
-	for i := 0; i < 2; i++ {
-		p.workers = append(p.workers, &worker{idx: i, bound: pk, boundSet: true, q: []job{{}}})
-	}
-	p.workers[0].running = true
-	if got := p.chooseLocked(pk, make([]bool, 2)); got != p.workers[1] {
-		t.Error("next shard queued behind the running worker, not its not-yet-running sibling")
-	}
-}
-
-// TestPoolRoundRobinReconfigures is the control arm: the same two-tenant
-// workload under PolicyRoundRobin rotates every worker through both
-// programs and must pay reconfigurations — the cost the affinity
-// scheduler exists to avoid (compared directly in the benchmark sweep).
-func TestPoolRoundRobinReconfigures(t *testing.T) {
-	p, err := NewPool(Options{Workers: 4, Policy: PolicyRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	key2 := bytes.Repeat([]byte{0x5A}, 16)
-	a, err := p.Open(core.Rijndael, key, core.Config{Unroll: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Open(core.Rijndael, key2, core.Config{Unroll: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv := make([]byte, 16)
-	msg := testMessage(16 * 32)
-	refA := refCTR(t, reference(t, core.Rijndael), iv, msg)
-	for i := 0; i < 4; i++ {
-		got, err := a.EncryptCTR(context.Background(), iv, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, refA) {
-			t.Fatal("round-robin pool corrupted tenant A's ciphertext")
-		}
-		if _, err := b.EncryptCTR(context.Background(), iv, msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := p.SchedStats(); st.Reconfigures == 0 {
-		t.Error("round-robin rotation of two programs paid no reconfigurations")
-	}
-}
-
 // TestPoolWorkStealingSoak is the -race soak for the scheduler: several
 // tenants hammer a small shared pool concurrently in every sharded mode,
 // every result verified, so placement, stealing, rebinding and tenant
 // accounting all interleave under the race detector.
 func TestPoolWorkStealingSoak(t *testing.T) {
-	p, err := NewPool(Options{Workers: 4})
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +291,7 @@ func TestPoolWorkStealingSoak(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := p.SchedStats(); st.AffinityHits == 0 {
-		t.Errorf("soak recorded no affinity hits: %+v", st)
+	if p.met.affinity.Value() == 0 {
+		t.Error("soak recorded no affinity hits")
 	}
 }

@@ -142,7 +142,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.met = newServerMetrics(s.reg)
 	if opts.Backend == "farm" {
-		pool, err := farm.NewPool(farm.Options{Workers: opts.Workers})
+		pool, err := farm.NewPool(opts.Workers)
 		if err != nil {
 			return nil, err
 		}
