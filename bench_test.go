@@ -412,3 +412,56 @@ func BenchmarkDecryption(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRebind measures one device switching between two tenants at
+// full unroll — rijndael-10 to rijndael-10 under another key (the machine
+// stays), and rijndael-10 ↔ rc6-20 (20 and 40 rows: the machine is
+// re-tiled) — on each path: reconfigure builds and compiles the target's
+// image on the switching device (Device.Reconfigure), load installs an
+// image compiled beforehand (Device.Load, a farm worker's rebind). Every
+// op is one switch and runs one configuration phase; the device
+// alternates between the two targets. Run with -benchmem.
+func BenchmarkRebind(b *testing.B) {
+	type target struct {
+		alg core.Algorithm
+		key []byte
+	}
+	key2 := []byte("rebind-key-two!!")
+	for _, c := range []struct {
+		name    string
+		targets [2]target
+	}{
+		{"rijndael-10-rekey", [2]target{{core.Rijndael, benchKey}, {core.Rijndael, key2}}},
+		{"rijndael-10-rc6-20", [2]target{{core.Rijndael, benchKey}, {core.RC6, benchKey}}},
+	} {
+		var imgs [2]*core.Image
+		for i, t := range c.targets {
+			d, err := core.Configure(t.alg, t.key, core.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			imgs[i] = d.Image()
+		}
+		for _, path := range []string{"reconfigure", "load"} {
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				d, err := core.NewDevice(imgs[0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 1; i <= b.N; i++ {
+					t := c.targets[i%2]
+					if path == "load" {
+						err = d.Load(imgs[i%2])
+					} else {
+						err = d.Reconfigure(t.alg, t.key, core.Config{})
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -10,7 +10,11 @@
 // host-side and shipped as eRAM writes, matching the paper's
 // external-system protocol), EncryptECB drives the ready/go/busy/data-valid
 // handshake, and Report exposes measured cycles alongside the modeled clock
-// frequency, throughput, and gate count.
+// frequency, throughput, and gate count. What Configure compiles — the
+// microcode, its fastpath traces and the timing model — is an Image
+// (Device.Image): other devices load it (NewDevice, Device.Load) and rerun
+// only the configuration phase, which is how internal/farm's workers
+// switch tenants.
 //
 // Every mode method takes a context (the unified Cipher surface, see
 // cipher.go) and every Device carries an internal/obs registry: per-mode
@@ -23,6 +27,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"cobra/internal/bits"
 	"cobra/internal/datapath"
@@ -79,25 +84,99 @@ type Config struct {
 	// its program proves steady-state compilable.
 	Interpreter bool
 	// Validate runs the symbolic translation validator (package equiv) over
-	// every compiled fastpath trace, of either direction, before installing
-	// it: a trace not proven to compute the microcode's exact block stream
-	// is refused, and that direction falls back to the interpreter
-	// (FastpathErr reports the encryption trace's verdict). Off by default
-	// — validation costs a few ms to tens of ms per (re)load, and the
-	// compiler is itself covered by the cobra-vet -equiv corpus gate — but
-	// recommended wherever microcode arrives from outside the build (cobrad
-	// tenants, assembled .casm files).
+	// every compiled fastpath trace, of either direction, before an Image
+	// carries it: a trace not proven to compute the microcode's exact
+	// block stream is refused, and that direction falls back to the
+	// interpreter (FastpathErr reports the encryption trace's verdict).
+	// Off by default — validation costs a few ms to tens of ms per image
+	// (once per trace; devices that Load the image do not validate again),
+	// and the compiler is itself covered by the cobra-vet -equiv corpus
+	// gate — but recommended wherever microcode arrives from outside the
+	// build (cobrad tenants, assembled .casm files).
 	Validate bool
 }
 
-// engine is one direction's datapath: the program, the machine it is
-// loaded on, and the trace compiled from it — nil when compilation was
-// refused (compileErr records why) or forced off by Config.Interpreter.
+// Image is one (algorithm, key, Config) compiled for loading: the
+// encryption program and its compiled trace, the timing model, and the
+// decryption program and its trace, built on the first decrypt of any
+// device loaded from the image at the depth DecryptECB documents. The
+// Config.Validate gate runs once per trace, here. An Image is immutable
+// once built, apart from that once-only decryption build, and safe for
+// concurrent use: any number of devices may load it (Device.Load), each
+// running its own executor over the shared traces. It is the microcode a
+// COBRA part reloads on a switch (§1's algorithm agility), assembled once.
+type Image struct {
+	alg    Algorithm
+	spec   *program.Spec
+	key    []byte
+	cfg    Config
+	timing model.Timing
+	enc    *code
+
+	decOnce sync.Once
+	dec     *code
+	decErr  error
+}
+
+// code is one direction's compiled microcode: the program and the trace
+// compiled from it — nil when compilation was refused (err records why)
+// or forced off by Config.Interpreter. No device runs trace itself; each
+// runs a Fresh executor over it.
+type code struct {
+	prog  *program.Program
+	trace *fastpath.Exec
+	err   error
+}
+
+// compile trace-compiles p unless cfg.Interpreter forces it off, and
+// applies the opt-in Config.Validate gate: an unproven trace is dropped,
+// so that direction runs on the interpreter, and err carries the
+// validator's verdict (divergence witness included).
+func compile(p *program.Program, cfg Config) *code {
+	c := &code{prog: p}
+	if cfg.Interpreter {
+		return c
+	}
+	c.trace, c.err = p.Compile()
+	if c.trace != nil && cfg.Validate {
+		if res := p.ValidateExec(c.trace); !res.Proven {
+			c.trace, c.err = nil, res.Err()
+		}
+	}
+	return c
+}
+
+// decoder returns the image's decryption code, building it on the first
+// call from any device: at the image's unroll when Spec.DecryptDepths
+// (ascending) lists it, else at the deepest listed depth below it. built
+// reports whether this call built it.
+func (img *Image) decoder() (*code, bool, error) {
+	built := false
+	img.decOnce.Do(func() {
+		built = true
+		hw := 0
+		for _, dd := range img.spec.DecryptDepths {
+			if dd <= img.enc.prog.HWRounds {
+				hw = dd
+			}
+		}
+		p, err := img.spec.BuildDecrypt(img.key, hw)
+		if err != nil {
+			img.decErr = err
+			return
+		}
+		img.dec = compile(p, img.cfg)
+	})
+	return img.dec, built, img.decErr
+}
+
+// engine is one direction's datapath on a device: the image's code, the
+// machine its program is loaded on, and the device's own executor over
+// its compiled trace — nil when there is none (code.err records why).
 type engine struct {
-	prog       *program.Program
-	machine    *sim.Machine
-	fast       *fastpath.Exec
-	compileErr error
+	*code
+	machine *sim.Machine
+	fast    *fastpath.Exec
 }
 
 // Device is one COBRA chip with loaded microcode.
@@ -108,18 +187,16 @@ type engine struct {
 // safe to call concurrently with encryption — they read and snapshot
 // atomic registry counters — which is how the farm reports on live
 // workers. To serve a non-feedback workload in parallel, replicate
-// devices — one per goroutine — and shard the data between them;
-// internal/farm packages exactly that pattern.
+// devices — one per goroutine, each loaded from one Image — and shard
+// the data between them; internal/farm packages exactly that pattern.
 type Device struct {
-	spec   *program.Spec
-	timing model.Timing
-	key    []byte
-	met    *deviceMetrics
+	img *Image
+	met *deviceMetrics
 
-	// enc is the encryption engine, built by every (re)configuration; dec
-	// the decryption engine, built on the first decrypt call and dropped
-	// by the next reconfiguration (in hardware terms: a second device, or
-	// this one re-loaded between directions).
+	// enc is the encryption engine, installed by every load; dec the
+	// decryption engine, installed on the first decrypt call and dropped
+	// by the next load (in hardware terms: a second device, or this one
+	// re-loaded between directions).
 	enc, dec *engine
 
 	// oneBlk is the one-block scratch reused by the chaining modes'
@@ -129,15 +206,12 @@ type Device struct {
 	// size (obs_test.go pins this).
 	oneBlk [1]bits.Block128
 	blkBuf []bits.Block128
-
-	// cfg is the configuration's Config; Interpreter and Validate apply
-	// to both engines.
-	cfg Config
 }
 
-// Configure compiles the algorithm/key pair into microcode, instantiates
-// the matching array geometry, loads the iRAM and runs the configuration
-// phase to the idle point.
+// Configure builds an image of the algorithm/key pair and loads it on a
+// new device: it compiles the key-specific microcode, instantiates the
+// matching array geometry, loads the iRAM, runs the configuration phase
+// to the idle point and compiles the fastpath trace.
 func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	d := &Device{met: newDeviceMetrics()}
 	if err := d.configure(alg, key, cfg); err != nil {
@@ -146,10 +220,19 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// configure builds the algorithm/key pair's encryption engine, drops both
-// engines of the previous configuration (a compiled trace encodes its
-// program's configuration schedule), refreshes the timing analysis and
-// resets the Report view. A build failure leaves the device untouched.
+// NewDevice loads img on a new device (see Load).
+func NewDevice(img *Image) (*Device, error) {
+	d := &Device{met: newDeviceMetrics()}
+	if err := d.Load(img); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// configure builds an image of the algorithm/key pair and loads it. The
+// image's timing model is analyzed on the array this load configures, so
+// building it runs no configuration phase of its own; its trace counts as
+// this device's compile. A build failure leaves the device untouched.
 func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	s, err := alg.spec()
 	if err != nil {
@@ -163,83 +246,108 @@ func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range [...]*engine{d.enc, d.dec} {
-		if e != nil && e.fast != nil {
-			d.met.invalidations.Inc()
-			e.fast = nil
-		}
-	}
-	d.dec, d.cfg = nil, cfg
-	enc, err := d.newEngine(p, d.enc)
+	img := &Image{alg: alg, spec: s, key: append([]byte(nil), key...), cfg: cfg, enc: compile(p, cfg)}
+	m, err := d.load(p, d.enc)
 	if err != nil {
 		return err
 	}
-	d.spec, d.enc = s, enc
-	d.key = append([]byte(nil), key...)
-	d.met.setAlg(alg)
-	d.timing = model.Analyze(enc.machine.Array, model.DefaultDelays())
-	d.met.resetStats()
+	img.timing = model.Analyze(m.Array, model.DefaultDelays())
+	if !cfg.Interpreter {
+		d.met.noteCompile(img.enc.trace != nil)
+	}
+	d.install(img, m)
 	return nil
 }
 
-// newEngine loads p — onto prev's machine when the array geometry
-// matches, else onto a freshly tiled one — and compiles its fastpath
-// trace unless Config.Interpreter forces it off. Every machine's observer
+// Load switches the device to img, compiled elsewhere (by Configure or
+// Reconfigure on any device; Image returns it): the microcode reloads and
+// the configuration phase runs, as on every switch, and the device takes
+// its own executor over the image's trace instead of compiling one. A
+// Load on the array geometry the device already has reuses its machine,
+// as Reconfigure does. The device keeps its metrics registry, and the
+// Report view resets.
+func (d *Device) Load(img *Image) error {
+	m, err := d.load(img.enc.prog, d.enc)
+	if err != nil {
+		return err
+	}
+	if img.enc.trace != nil {
+		d.met.installs.Inc()
+	}
+	d.install(img, m)
+	return nil
+}
+
+// load runs p's configuration phase on prev's machine when the array
+// geometry matches, else on a freshly tiled one. Every machine's observer
 // feeds the device registry, so each configuration phase is counted once
 // in cobra_sim_* (lookups are get-or-create by name); fastpath runs never
 // touch the machine, so the cobra_device_*_total mirrors that run feeds
 // are the source of truth for bulk work.
-func (d *Device) newEngine(p *program.Program, prev *engine) (*engine, error) {
-	e := &engine{prog: p}
+func (d *Device) load(p *program.Program, prev *engine) (*sim.Machine, error) {
 	if prev != nil && prev.prog.Geometry == p.Geometry {
-		e.machine = prev.machine
-	} else {
-		m, err := program.NewMachine(p)
-		if err != nil {
-			return nil, err
-		}
-		m.Obs = sim.NewObserver(d.met.reg)
-		e.machine = m
+		return prev.machine, program.Load(prev.machine, p)
 	}
-	if err := program.Load(e.machine, p); err != nil {
+	m, err := program.NewMachine(p)
+	if err != nil {
 		return nil, err
 	}
-	if !d.cfg.Interpreter {
-		e.fast, e.compileErr = p.Compile()
-		if e.fast != nil && d.cfg.Validate {
-			// The opt-in translation-validation gate: an unproven trace is
-			// never installed. The engine still works on the interpreter,
-			// and compileErr carries the validator's verdict (divergence
-			// witness included).
-			if res := p.ValidateExec(e.fast); !res.Proven {
-				e.fast, e.compileErr = nil, res.Err()
-			}
-		}
-		d.met.noteCompile(e.fast != nil)
-	}
-	return e, nil
+	m.Obs = sim.NewObserver(d.met.reg)
+	return m, program.Load(m, p)
 }
 
-// decryptor returns the decryption engine, building it on first use at
-// the depth DecryptECB documents: the device's unroll when
-// Spec.DecryptDepths (ascending) lists it, else the deepest listed depth
-// below it. Building it neither resets the Report view nor counts an
-// invalidation: it adds a direction rather than replacing one.
+// install makes img the device's configuration, with its encryption
+// program loaded on m. Both engines of the previous configuration go (a
+// compiled trace encodes its program's configuration schedule), each
+// dropped trace counted as an invalidation, and the Report view resets.
+func (d *Device) install(img *Image, m *sim.Machine) {
+	for _, e := range [...]*engine{d.enc, d.dec} {
+		if e != nil && e.fast != nil {
+			d.met.invalidations.Inc()
+		}
+	}
+	d.img, d.enc, d.dec = img, img.enc.engine(m), nil
+	d.met.setAlg(img.alg)
+	d.met.resetStats()
+}
+
+// engine returns a device engine running c on m, with its own executor
+// over c's trace.
+func (c *code) engine(m *sim.Machine) *engine {
+	e := &engine{code: c, machine: m}
+	if c.trace != nil {
+		e.fast = c.trace.Fresh()
+	}
+	return e
+}
+
+// Image returns the device's loaded image, for loading on other devices.
+func (d *Device) Image() *Image { return d.img }
+
+// decryptor returns the decryption engine, installing it on first use:
+// the image's decryption code (built and compiled by the first decrypt
+// of any device loaded from the image, counted as that device's
+// compile) loaded on a machine of its own. Installing it neither resets
+// the Report view nor counts an invalidation: it adds a direction rather
+// than replacing one.
 func (d *Device) decryptor() (*engine, error) {
 	if d.dec == nil {
-		hw := 0
-		for _, dd := range d.spec.DecryptDepths {
-			if dd <= d.enc.prog.HWRounds {
-				hw = dd
-			}
-		}
-		p, err := d.spec.BuildDecrypt(d.key, hw)
+		c, built, err := d.img.decoder()
 		if err != nil {
 			return nil, err
 		}
-		if d.dec, err = d.newEngine(p, nil); err != nil {
+		m, err := d.load(c.prog, nil)
+		if err != nil {
 			return nil, err
 		}
+		switch {
+		case d.img.cfg.Interpreter:
+		case built:
+			d.met.noteCompile(c.trace != nil)
+		case c.trace != nil:
+			d.met.installs.Inc()
+		}
+		d.dec = c.engine(m)
 	}
 	return d.dec, nil
 }
@@ -254,7 +362,7 @@ func (d *Device) UsesFastpath() bool { return d.enc.fast != nil }
 
 // FastpathErr returns why the encryption trace was refused (nil when the
 // fastpath is active or was forced off by Config.Interpreter).
-func (d *Device) FastpathErr() error { return d.enc.compileErr }
+func (d *Device) FastpathErr() error { return d.enc.err }
 
 // run routes a block batch through one direction's engine — the
 // encryption engine, or with decrypt set the decryption engine, built on
@@ -282,7 +390,7 @@ func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block
 		}
 	} else {
 		switch {
-		case d.cfg.Interpreter:
+		case d.img.cfg.Interpreter:
 			d.met.fbForced.Inc()
 		case e.fast == nil:
 			d.met.fbRefused.Inc()
@@ -321,18 +429,20 @@ func (d *Device) scratch(n int) []bits.Block128 {
 }
 
 // Reconfigure switches the device to a new algorithm/key — the §1
-// algorithm-agility scenario. When the new configuration needs a different
-// array geometry the machine is rebuilt (in hardware terms: a differently
+// algorithm-agility scenario — by building an image of the pair and
+// loading it. When the new configuration needs a different array
+// geometry the machine is rebuilt (in hardware terms: a differently
 // tiled part); with matching geometry only the microcode reloads. Either
 // way the device keeps its metrics registry (and any parent attachment):
 // exported counters stay monotonic across the switch, the info series
-// flips to the new algorithm, and the Report view resets.
+// flips to the new algorithm, and the Report view resets. A switch to a
+// pair some device already compiled is cheaper through Load.
 func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 	return d.configure(alg, key, cfg)
 }
 
 // Algorithm returns the configured algorithm.
-func (d *Device) Algorithm() Algorithm { return Algorithm(d.spec.Name) }
+func (d *Device) Algorithm() Algorithm { return Algorithm(d.img.spec.Name) }
 
 // Unroll returns the configured unroll depth.
 func (d *Device) Unroll() int { return d.enc.prog.HWRounds }
@@ -341,7 +451,7 @@ func (d *Device) Unroll() int { return d.enc.prog.HWRounds }
 func (d *Device) Geometry() datapath.Geometry { return d.enc.prog.Geometry }
 
 // BlockSize returns the cipher block size in bytes.
-func (d *Device) BlockSize() int { return d.spec.BlockSize }
+func (d *Device) BlockSize() int { return d.img.spec.BlockSize }
 
 // EncryptECB encrypts src (a multiple of 16 bytes) into a fresh slice by
 // streaming the blocks through the datapath in electronic-codebook mode,
@@ -579,10 +689,11 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 // decrypt builders) shows the architecture carries the inverse ciphers
 // with the same structures — RC6 via SUB + negated-amount rotates,
 // Rijndael via the FIPS-197 equivalent inverse cipher, Serpent via the
-// inverse LT rows. The first decrypt call builds the decryption engine
-// the way configuration builds the encryption engine — load, trace
-// compile, Config.Validate gate — and its blocks and cycles count in
-// Report like encryption's. It decrypts at the device's unroll when the
+// inverse LT rows. The first decrypt call installs the decryption engine
+// — its program loaded on a machine of its own, with the trace the
+// device's image compiled (and gated by Config.Validate) on the first
+// decrypt of any device loaded from it — and its blocks and cycles count
+// in Report like encryption's. It decrypts at the device's unroll when the
 // cipher maps a decryptor there (program.Spec.DecryptDepths), else at the
 // deepest mapped depth below it: Serpent's inverse is mapped at depth 1
 // only, so a serpent-32 device decrypts on serpent-dec-1 and its Report
@@ -641,11 +752,11 @@ func (d *Device) Report() Report {
 			Rows:           p.Geometry.Rows,
 			Stats:          st,
 			CyclesPerBlock: cpb,
-			DatapathMHz:    d.timing.DatapathMHz,
-			ThroughputMbps: d.timing.ThroughputMbps(cpb),
+			DatapathMHz:    d.img.timing.DatapathMHz,
+			ThroughputMbps: d.img.timing.ThroughputMbps(cpb),
 		},
 		Streaming: p.Streaming,
-		IRAMMHz:   d.timing.IRAMMHz,
+		IRAMMHz:   d.img.timing.IRAMMHz,
 		Gates:     model.Table5(model.Table4(), p.Geometry).Total(),
 	}
 }

@@ -92,7 +92,7 @@ func TestDecryptMatchesReferenceOnBothEngines(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%d blocks, interpreter=%v: ECB plaintext differs from the host reference", n, d.cfg.Interpreter)
+						t.Fatalf("%d blocks, interpreter=%v: ECB plaintext differs from the host reference", n, d.img.cfg.Interpreter)
 					}
 				}
 				if st[0] != st[1] {
@@ -108,13 +108,13 @@ func TestDecryptMatchesReferenceOnBothEngines(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("interpreter=%v: CBC plaintext differs from the host reference", d.cfg.Interpreter)
+					t.Fatalf("interpreter=%v: CBC plaintext differs from the host reference", d.img.cfg.Interpreter)
 				}
 			}
 			blocks += 5
 
 			if fast.dec.fast == nil {
-				t.Fatalf("decryptor %s did not compile: %v", fast.dec.prog.Name, fast.dec.compileErr)
+				t.Fatalf("decryptor %s did not compile: %v", fast.dec.prog.Name, fast.dec.err)
 			}
 			for _, e := range []struct {
 				d      *Device

@@ -83,9 +83,15 @@ type deviceMetrics struct {
 	fbRefused *obs.Counter
 	fbForced  *obs.Counter
 
-	// Fastpath compiler lifecycle.
+	// Fastpath trace lifecycle: compiles counts the traces this device
+	// compiled itself, installs those it took from an image compiled
+	// elsewhere (Device.Load, or a decryption trace another device
+	// built), and invalidations the traces a microcode reload dropped.
+	// Compiles plus installs minus invalidations is the number of traces
+	// installed on the device.
 	compiles      *obs.Counter
 	compileErrs   *obs.Counter
+	installs      *obs.Counter
 	invalidations *obs.Counter
 
 	// sim.Stats mirrors (see statMetricNames) and their ResetStats
@@ -122,9 +128,11 @@ func newDeviceMetrics() *deviceMetrics {
 	m.fbForced = reg.Counter("cobra_device_fastpath_fallbacks_total",
 		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "forced_interpreter"))
 	m.compiles = reg.Counter("cobra_device_fastpath_compiles_total",
-		"Successful trace compilations.")
+		"Successful trace compilations run by this device.")
 	m.compileErrs = reg.Counter("cobra_device_fastpath_compile_errors_total",
 		"Refused trace compilations (program not provably steady-state).")
+	m.installs = reg.Counter("cobra_device_fastpath_installs_total",
+		"Compiled traces installed from an image compiled elsewhere.")
 	m.invalidations = reg.Counter("cobra_device_fastpath_invalidations_total",
 		"Compiled traces dropped by a microcode reload.")
 	for i := 0; i < statCount; i++ {

@@ -202,7 +202,9 @@ func TestReconfigureKeepsRegistry(t *testing.T) {
 // accounting of algorithm agility: a Reconfigure runs exactly one
 // configuration phase on the device's registry — the same ticks a fresh
 // Configure of the target pays — whether the geometry stays (rijndael
-// keeps its 20 rows) or changes (rc6 at full unroll needs 40).
+// keeps its 20 rows) or changes (rc6 at full unroll needs 40). Loading
+// the target's image, compiled elsewhere, back onto the device after a
+// switch away runs one phase too.
 func TestReconfigureTicksOneConfigurationPhase(t *testing.T) {
 	key2 := bytes.Repeat([]byte{0x5A}, 16)
 	for _, tc := range []struct{ from, to Algorithm }{
@@ -230,11 +232,23 @@ func TestReconfigureTicksOneConfigurationPhase(t *testing.T) {
 			if got := counterValue(t, d.Obs(), "cobra_sim_ticks_total") - before; got != phase {
 				t.Errorf("Reconfigure added %d ticks, want one configuration phase (%d)", got, phase)
 			}
+			if err := d.Reconfigure(tc.from, key, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			before = counterValue(t, d.Obs(), "cobra_sim_ticks_total")
+			if err := d.Load(fresh.Image()); err != nil {
+				t.Fatal(err)
+			}
+			if got := counterValue(t, d.Obs(), "cobra_sim_ticks_total") - before; got != phase {
+				t.Errorf("Load added %d ticks, want one configuration phase (%d)", got, phase)
+			}
 		})
 	}
 }
 
-// TestReconfigureAllocBudget pins the host cost of a farm rebind: a
+// TestReconfigureAllocBudget pins the host cost of a switch that builds
+// its image, as Pool.Open and a device backend's first CONFIGURE do (a
+// farm rebind loads an image instead: TestLoadAllocBudget): a
 // same-geometry Reconfigure of full-unroll Rijndael (build, vet, load,
 // trace compile and its self-check replay) stays within 5,000 heap
 // allocations. Running a whole-program analysis such as package dataflow's
@@ -338,6 +352,6 @@ func TestDecryptIntoAllocFree(t *testing.T) {
 		}
 	}
 	if d.dec.fast == nil {
-		t.Fatalf("decryption did not compile a trace: %v", d.dec.compileErr)
+		t.Fatalf("decryption did not compile a trace: %v", d.dec.err)
 	}
 }

@@ -32,13 +32,13 @@ func TestValidateGateKeepsFastpath(t *testing.T) {
 		t.Error("decrypt(encrypt(x)) != x under the validation gate")
 	}
 	if d.dec.fast == nil {
-		t.Fatalf("proven decryption trace was not installed: %v", d.dec.compileErr)
+		t.Fatalf("proven decryption trace was not installed: %v", d.dec.err)
 	}
 
 	if err := d.Reconfigure(Serpent, key, Config{Unroll: 1, Validate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.cfg.Validate {
+	if !d.img.cfg.Validate {
 		t.Error("Reconfigure dropped the validation gate")
 	}
 	if !d.UsesFastpath() {
@@ -53,7 +53,7 @@ func TestValidateGateOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cfg.Validate {
+	if d.img.cfg.Validate {
 		t.Error("validation gate enabled by the zero Config")
 	}
 	if !d.UsesFastpath() {

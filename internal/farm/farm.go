@@ -131,10 +131,9 @@ type tenantSlot struct {
 type Farm struct {
 	pool *Pool
 
-	alg  core.Algorithm
-	key  []byte
-	wcfg core.Config // per-worker device config
-	pk   progKey
+	alg core.Algorithm
+	img *core.Image // what every worker loads for this tenant
+	pk  progKey
 
 	mhz      float64
 	unroll   int
@@ -159,22 +158,32 @@ var _ core.Cipher = (*Farm)(nil)
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
 // cfg configures the tenant's devices. The key and config are validated
-// eagerly by configuring a probe device, which is donated to a worker
-// that was never bound, while one is left (warming the tenant's first
-// placement).
+// eagerly by configuring a probe device, whose image (core.Image) every
+// worker then loads for the tenant without compiling it again. The probe
+// is donated to a worker that was never bound, while one is left
+// (warming the tenant's first placement); after that the pool keeps it
+// and reconfigures it for later Opens, under worker="probe" on its
+// registry, so every tenant's compile counts there. Opens are serialized.
 //
 // Closing a tenant Farm does not close the pool; closing the pool
 // invalidates its tenants.
 func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, error) {
-	probe, err := core.Configure(alg, key, cfg)
+	p.openMu.Lock()
+	defer p.openMu.Unlock()
+	probe := p.probe
+	var err error
+	if probe == nil {
+		probe, err = core.Configure(alg, key, cfg)
+	} else {
+		err = probe.Reconfigure(alg, key, cfg)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("farm: configuring device: %w", err)
 	}
 	f := &Farm{
 		pool: p,
 		alg:  alg,
-		key:  append([]byte(nil), key...),
-		wcfg: cfg,
+		img:  probe.Image(),
 		pk: progKey{
 			alg:      alg,
 			unroll:   cfg.Unroll,
@@ -190,13 +199,18 @@ func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, err
 	f.reg = obs.NewRegistry()
 	f.met = newFarmMetrics(f.reg)
 
-	// Donate the probe to a never-bound worker and bind it, so the
-	// tenant's first shards land on an already-configured device.
 	p.closeMu.RLock()
 	defer p.closeMu.RUnlock()
 	if p.closed {
 		return nil, ErrClosed
 	}
+	if probe == p.probe {
+		// Kept only once every worker was bound, and bindings are never
+		// cleared: there is no one to donate it to.
+		return f, nil
+	}
+	// Donate the probe to a never-bound worker and bind it, so the
+	// tenant's first shards land on an already-configured device.
 	p.mu.Lock()
 	i, gifted := p.pl.Gift(f.pk)
 	if gifted {
@@ -207,6 +221,9 @@ func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, err
 	p.mu.Unlock()
 	if gifted {
 		p.reg.Attach(probe.Obs(), obs.L("worker", strconv.Itoa(i)))
+	} else {
+		p.probe = probe
+		p.reg.Attach(probe.Obs(), obs.L("worker", "probe"))
 	}
 	return f, nil
 }

@@ -60,8 +60,9 @@ func (s *Slot[K, J]) load() int {
 // more shards than workers still queues everywhere.
 //
 // The preference order encodes the cost model — a reconfiguration
-// (microcode compile plus fastpath trace recording) is worth avoiding
-// above all else:
+// (a microcode reload and its configuration phase; the trace was
+// compiled once, when the tenant opened) is worth avoiding above all
+// else:
 //
 //  1. an idle worker bound to the program (free: the device is hot)
 //  2. an idle worker never bound (pays one cold configure, never a

@@ -4,13 +4,17 @@
 // (a sim.Machine is single-threaded silicon). Tenants — Farm values
 // opened on the pool — dispatch shards into per-worker run queues
 // through a Placer (placer.go) that knows which program each worker is
-// bound to. Reconfiguring a device (microcode compile plus
-// fastpath trace recording) is the expensive operation in this system,
-// so the scheduler's whole job is to amortize it: keep each worker on
-// its bound program as long as there is same-program work, steal
-// same-program work from a sibling's queue before anything else, and
-// only pay a reconfiguration when a genuine backlog (stealBacklog) or a
-// cold tenant justifies it. An idle worker blocks on its wake channel
+// bound to. Reconfiguring a device is the expensive operation in this
+// system: like a COBRA part switching ciphers (§1), the worker reloads
+// the tenant's microcode and runs its configuration phase, simulated
+// cycles the paper's agility story pays and host time on the
+// interpreter. Nothing is compiled on a switch — the worker loads the
+// image its tenant compiled once at Open (core.Image) — but the phase
+// remains, so the scheduler's whole job is to amortize it: keep each
+// worker on its bound program as long as there is same-program work,
+// steal same-program work from a sibling's queue before anything else,
+// and only pay a reconfiguration when a genuine backlog (stealBacklog)
+// or a cold tenant justifies it. An idle worker blocks on its wake channel
 // and keeps its configured device, so idling costs neither cycles nor a
 // later reconfiguration.
 package farm
@@ -123,6 +127,11 @@ type Pool struct {
 
 	closeCh chan struct{}
 	wg      sync.WaitGroup
+
+	// openMu serializes Open. probe, guarded by it, is the device Open
+	// configures once every worker is bound (see Open); nil until then.
+	openMu sync.Mutex
+	probe  *core.Device
 }
 
 // NewPool starts a pool of the given number of workers, the replicated
@@ -330,16 +339,18 @@ func (p *Pool) execute(w *worker, j *job) error {
 	return err
 }
 
-// ensure makes the worker's device hold the tenant's program, paying a
-// cold configure (first job on this worker) or a reconfiguration
-// (program switch) as needed. Runs on the worker goroutine.
+// ensure makes the worker's device hold the tenant's program, loading
+// the tenant's image on a new device (first job on this worker) or on
+// the worker's device (a reconfiguration) as needed. Either way the
+// configuration phase runs and nothing is compiled. Runs on the worker
+// goroutine.
 func (p *Pool) ensure(w *worker, tn *Farm) error {
 	if w.dev != nil && w.loadedSet && w.loaded == tn.pk {
 		p.met.affinity.Inc()
 		return nil
 	}
 	if w.dev == nil {
-		dev, err := core.Configure(tn.alg, tn.key, tn.wcfg)
+		dev, err := core.NewDevice(tn.img)
 		if err != nil {
 			return err
 		}
@@ -347,7 +358,7 @@ func (p *Pool) ensure(w *worker, tn *Farm) error {
 		p.reg.Attach(dev.Obs(), obs.L("worker", strconv.Itoa(w.idx)))
 	} else {
 		p.met.reconfigs.Inc()
-		if err := w.dev.Reconfigure(tn.alg, tn.key, tn.wcfg); err != nil {
+		if err := w.dev.Load(tn.img); err != nil {
 			p.mu.Lock()
 			w.loadedSet = false
 			p.mu.Unlock()

@@ -58,53 +58,48 @@ func Compile(src Source) (*Exec, error) {
 			ErrNotSteady, src.Name, last-first)
 	}
 
-	e := &Exec{
+	c := &compiled{
 		src:     src,
 		rows:    src.Geometry.Rows,
 		initReg: rec.initReg,
 		initFB:  rec.initFB,
 	}
-	e.reg = make([][datapath.Cols]uint32, e.rows)
-	copy(e.reg, e.initReg)
-	e.fb = e.initFB
-
 	luts := snapshotLUTs(rec)
 	gfCache := make(map[[5]uint8]*gfTab)
-	if e.head, err = e.compileTicks(rec, 0, first+1, luts, gfCache); err != nil {
+	if c.head, err = c.compileTicks(rec, 0, first+1, luts, gfCache); err != nil {
 		return nil, err
 	}
-	if e.period, err = e.compileTicks(rec, first+1, first+1+plen, luts, gfCache); err != nil {
+	if c.period, err = c.compileTicks(rec, first+1, first+1+plen, luts, gfCache); err != nil {
 		return nil, err
 	}
-	if !e.head[len(e.head)-1].emit || countEmits(e.head) != 1 {
+	if !c.head[len(c.head)-1].emit || countEmits(c.head) != 1 {
 		return nil, fmt.Errorf("%w: %s: head segment does not end at its single output", ErrNotSteady, src.Name)
 	}
-	if countEmits(e.period) == 0 {
+	if countEmits(c.period) == 0 {
 		// Unreachable given the suffix held outputs, but it is the
 		// executor's termination guarantee, so assert it.
 		return nil, fmt.Errorf("%w: %s: steady period emits no output", ErrNotSteady, src.Name)
 	}
 
-	e.bands = e.bandLayout()
-	if err := selfCheck(e, rec, src); err != nil {
+	c.bands = c.bandLayout()
+	if err := selfCheck(c, rec); err != nil {
 		return nil, err
 	}
-	e.Reset()
-	return e, nil
+	return newExec(c), nil
 }
 
 // bandLayout derives the pipeline band layout of a streaming trace from
 // its compiled cycles (the conditions are in the package doc): the first
 // row of each of the PipelineDepth+1 bands, then the row count. A trace
 // that does not prove a layout gets nil and evaluates the whole array.
-func (e *Exec) bandLayout() []int {
-	depth := e.src.PipelineDepth
-	if !e.src.Streaming || depth < 1 {
+func (c *compiled) bandLayout() []int {
+	depth := c.src.PipelineDepth
+	if !c.src.Streaming || depth < 1 {
 		return nil
 	}
 	var regRows, regs []int
 	enabled := 0
-	for seg, ticks := range [][]cTick{e.head, e.period} {
+	for seg, ticks := range [][]cTick{c.head, c.period} {
 		for i := range ticks {
 			ct := &ticks[i]
 			if !ct.enabled {
@@ -141,7 +136,7 @@ func (e *Exec) bandLayout() []int {
 	for _, r := range regRows {
 		bands = append(bands, r+1)
 	}
-	return append(bands, e.rows)
+	return append(bands, c.rows)
 }
 
 // wholeRegRows appends the registered rows of an enabled cycle to regs; ok
@@ -225,34 +220,36 @@ func snapshotLUTs(rec *recording) []*rce.LUTStore {
 
 // selfCheck replays the recorded inputs through the freshly compiled trace,
 // on the whole array and then on its band layout if it has one, and
-// requires bit-identical outputs and counters before the executor is
+// requires bit-identical outputs and counters before the trace is
 // released — the last line of the equivalence proof, and a guard against
-// compiler bugs on programs outside the test matrix.
-func selfCheck(e *Exec, rec *recording, src Source) error {
+// compiler bugs on programs outside the test matrix. It is the one place
+// that writes c after construction: it tries each layout in turn and
+// leaves the last, the proven band layout, in place.
+func selfCheck(c *compiled, rec *recording) error {
 	layouts := [][]int{nil}
-	if e.bands != nil {
-		layouts = append(layouts, e.bands)
+	if c.bands != nil {
+		layouts = append(layouts, c.bands)
 	}
-	in := recordInputs(recBlocks, src)
+	name := c.src.Name
+	in := recordInputs(recBlocks, c.src)
 	dst := make([]bits.Block128, recBlocks)
 	got := rec.m.Outputs()
-	for _, e.bands = range layouts {
+	for _, c.bands = range layouts {
 		how := "whole-array"
-		if e.bands != nil {
+		if c.bands != nil {
 			how = "banded"
 		}
-		e.Reset()
-		st, err := e.EncryptInto(dst, in[:recBlocks])
+		st, err := newExec(c).EncryptInto(dst, in[:recBlocks])
 		if err != nil {
-			return fmt.Errorf("%w: %s: %s self-check: %v", ErrNotSteady, src.Name, how, err)
+			return fmt.Errorf("%w: %s: %s self-check: %v", ErrNotSteady, name, how, err)
 		}
 		if st != rec.final {
 			return fmt.Errorf("%w: %s: %s self-check counters %+v != recorded %+v",
-				ErrNotSteady, src.Name, how, st, rec.final)
+				ErrNotSteady, name, how, st, rec.final)
 		}
 		for i := range dst {
 			if dst[i] != got[i] {
-				return fmt.Errorf("%w: %s: %s self-check output %d mismatch", ErrNotSteady, src.Name, how, i)
+				return fmt.Errorf("%w: %s: %s self-check output %d mismatch", ErrNotSteady, name, how, i)
 			}
 		}
 	}
@@ -359,8 +356,8 @@ type cTick struct {
 }
 
 // compileTicks translates recorded cycles [from, to) into executable form.
-func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*gfTab) ([]cTick, error) {
-	name := e.src.Name
+func (c *compiled) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*gfTab) ([]cTick, error) {
+	name := c.src.Name
 	out := make([]cTick, 0, to-from)
 	for t := from; t < to; t++ {
 		s := rec.ticks[t]

@@ -11,10 +11,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cobra/internal/bits"
 	"cobra/internal/core"
+	"cobra/internal/fastpath"
 	"cobra/internal/program"
 	"cobra/internal/sim"
 )
@@ -130,6 +132,118 @@ func TestDifferentialAllBuilders(t *testing.T) {
 				}
 				if gotStats != wantStats {
 					t.Fatalf("call %d: fastpath stats %+v != interpreter %+v", call, gotStats, wantStats)
+				}
+			}
+		})
+	}
+}
+
+// sharedLane is one executor over a shared trace, checked call by call
+// against an interpreter machine of its own.
+type sharedLane struct {
+	p  *program.Program
+	m  *sim.Machine
+	ex *fastpath.Exec
+}
+
+// call runs n random blocks through both engines and reports the first
+// difference in output or counters.
+func (l *sharedLane) call(rng *rand.Rand, n int) error {
+	in := randomBlocks(rng, n)
+	want := make([]bits.Block128, n)
+	wantStats, err := program.Run(l.m, l.p, want, in, program.Opts{})
+	if err != nil {
+		return fmt.Errorf("interpreter: %v", err)
+	}
+	got := make([]bits.Block128, n)
+	gotStats, err := l.ex.EncryptInto(got, in)
+	if err != nil {
+		return fmt.Errorf("fastpath: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("%d-block call, block %d: fastpath %08x != interpreter %08x", n, i, got[i], want[i])
+		}
+	}
+	if gotStats != wantStats {
+		return fmt.Errorf("%d-block call: fastpath stats %+v != interpreter %+v", n, gotStats, wantStats)
+	}
+	return nil
+}
+
+// TestDifferentialSharedTrace runs two executors over one compiled trace
+// — the one Compile returned and a Fresh one — each against its own
+// interpreter machine. Their calls first interleave with different block
+// counts, so one is dirty (or mid-period) whenever the other starts a
+// call, and then run on two goroutines at once. Every call must match its
+// interpreter exactly: neither executor's dirty flag, resume point,
+// registers or staging buffer shows in the other's output, and under
+// -race the concurrent half shows that the shared trace is only read.
+// The programs are banded streaming traces (rijndael-10, rc6-20), a
+// streaming trace evaluated on the whole array (tea-32) and an iterative
+// one (rc6-2), whose calls leave the executor dirty to resume on the next.
+// The streaming traces emit twice per period, so their odd-length calls
+// stop mid-period; no iterative builtin emits more than once per period,
+// so rc6-2's calls stop at a period's end.
+func TestDifferentialSharedTrace(t *testing.T) {
+	key := []byte("shared-trace-key")
+	for _, c := range []builderCase{
+		{"rijndael-10", func() (*program.Program, error) { return program.BuildRijndael(key, 10) }},
+		{"rc6-20", func() (*program.Program, error) { return program.BuildRC6(key, 20, 20) }},
+		{"tea-32", func() (*program.Program, error) { return program.BuildTEA(key, 32) }},
+		{"rc6-2", func() (*program.Program, error) { return program.BuildRC6(key, 2, 20) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := p.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lanes [2]*sharedLane
+			for i, x := range []*fastpath.Exec{ex, ex.Fresh()} {
+				m, err := program.NewMachine(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := program.Load(m, p); err != nil {
+					t.Fatal(err)
+				}
+				lanes[i] = &sharedLane{p: p, m: m, ex: x}
+			}
+			sizes := [2][]int{{1, 3, 1, 7, 2, 5}, {2, 1, 5, 1, 4, 3}}
+			if d := p.PipelineDepth; p.Streaming {
+				sizes[0] = append(sizes[0], d+1, 1, 2*d+3)
+				sizes[1] = append(sizes[1], 1, d-1, d)
+			}
+			rng := rand.New(rand.NewSource(0x5a4ed))
+			for call := range sizes[0] {
+				for i, l := range lanes {
+					if err := l.call(rng, sizes[i][call]); err != nil {
+						t.Fatalf("interleaved call %d on executor %d: %v", call, i, err)
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, len(lanes))
+			for i, l := range lanes {
+				wg.Add(1)
+				go func(i int, l *sharedLane) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(i)))
+					for _, n := range sizes[i] {
+						if errs[i] = l.call(rng, n); errs[i] != nil {
+							return
+						}
+					}
+				}(i, l)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("concurrent calls on executor %d: %v", i, err)
 				}
 			}
 		})

@@ -21,6 +21,7 @@ import (
 //
 //cobra:hotpath
 func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
+	bands := e.bands
 	for t := start; t < len(ticks); t++ {
 		ct := &ticks[t]
 		acc.Add(ct.stats)
@@ -32,10 +33,10 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 		// band s holds block j−s.
 		r0, r1 := 0, len(ct.rows)
 		top, bottom := true, true
-		if e.bands != nil {
-			j, depth := *inPos, len(e.bands)-2
+		if bands != nil {
+			j, depth := *inPos, len(bands)-2
 			lo, hi := max(0, j-want+1), min(j, depth)
-			r0, r1 = e.bands[lo], e.bands[hi+1]
+			r0, r1 = bands[lo], bands[hi+1]
 			top, bottom = lo == 0, hi == depth
 		}
 		var vec bits.Block128

@@ -108,11 +108,10 @@ type Source struct {
 	PipelineDepth int
 }
 
-// Exec is a compiled steady-state trace plus the mutable data state of one
-// device (pipeline registers, feedback, resume point). Like the machine it
-// replaces, an Exec is not safe for concurrent use; replicate executors to
-// parallelize (internal/farm gets one per device).
-type Exec struct {
+// compiled is the immutable half of an executor: the compiled trace of
+// one program. Compile builds it and never changes it afterwards, so any
+// number of executors on any goroutines may read it at once.
+type compiled struct {
 	src Source
 
 	head   []cTick // load-to-first-output cycle stream (ends at its output)
@@ -126,6 +125,16 @@ type Exec struct {
 
 	initReg [][datapath.Cols]uint32
 	initFB  bits.Block128
+}
+
+// Exec is a compiled steady-state trace plus the mutable data state of one
+// device (pipeline registers, feedback, resume point). The trace is shared
+// and immutable; the data state is the executor's own. Like the machine it
+// replaces, an Exec is not safe for concurrent use: Fresh makes another
+// executor over the same trace for another device or goroutine
+// (internal/farm's workers each run their own).
+type Exec struct {
+	*compiled
 
 	reg   [][datapath.Cols]uint32
 	fb    bits.Block128
@@ -143,6 +152,20 @@ type Exec struct {
 	inBuf []bits.Block128
 }
 
+// newExec returns an executor over c in the post-load state.
+func newExec(c *compiled) *Exec {
+	e := &Exec{compiled: c, reg: make([][datapath.Cols]uint32, c.rows)}
+	e.Reset()
+	return e
+}
+
+// Fresh returns a new executor over e's compiled trace, in the post-load
+// state. The two share the trace and nothing else, so each may run on its
+// own goroutine, and neither call history shows in the other's output.
+// This is how a device reloads microcode compiled earlier without
+// compiling it again.
+func (e *Exec) Fresh() *Exec { return newExec(e.compiled) }
+
 // Name returns the compiled program's name.
 func (e *Exec) Name() string { return e.src.Name }
 
@@ -154,7 +177,7 @@ func (e *Exec) Dirty() bool { return e.dirty }
 // program had just been reloaded on a fresh machine (counters restart at
 // the head segment). EncryptInto calls it when a streaming program is
 // dirty, as the interpreter reloads one per call; a device that reloads
-// microcode builds a new executor instead.
+// microcode takes a Fresh executor instead.
 func (e *Exec) Reset() {
 	copy(e.reg, e.initReg)
 	e.fb = e.initFB

@@ -15,8 +15,8 @@ import (
 // max(0, j−n+1)..min(j, len(Bands)−1), where j counts the call's enabled
 // cycles, and every other trace the whole array. Which cells a call
 // evaluates therefore depends on its block count alone, never on data or
-// key. Table pointers are shared with the live executor — treat them as
-// read-only.
+// key. Table pointers are shared with every executor over the trace —
+// treat them as read-only.
 type Trace struct {
 	Name          string
 	Rows          int

@@ -13,11 +13,14 @@ import (
 
 // backendKey identifies one configured backend: the (program, key)
 // pair a tenant session pins. Two tenants with the same algorithm, key
-// and unroll share a backend — and therefore its compiled fastpath
-// trace — which is the whole point of the LRU: reconfiguration (micro-
-// code compile + trace recording) is the expensive operation the paper's
-// algorithm-agility story amortizes, so the server pays it once per
-// distinct configuration, not once per connection.
+// and unroll share a backend — and therefore its compiled image
+// (microcode and fastpath traces) — which is the whole point of the
+// LRU: building it (microcode compile, trace recording and self-check)
+// is the expensive operation, so the server pays it once per distinct
+// configuration, not once per connection. A farm backend's workers then
+// load that image on every switch to the tenant, paying the reload and
+// configuration phase the paper's algorithm-agility story amortizes, but
+// no compile.
 type backendKey struct {
 	alg    core.Algorithm
 	unroll int
@@ -117,8 +120,8 @@ type cache struct {
 	seq     uint64
 	entries map[backendKey]*backend
 
-	// build configures a new backend for a key (slow: compiles microcode
-	// and records the fastpath trace), filling e's cipher and shape
+	// build configures a new backend for a key (slow: builds its image,
+	// compiling microcode and the fastpath trace), filling e's cipher and shape
 	// fields in place — every waiter already holds the placeholder
 	// pointer. Called WITHOUT mu held, before e.ready is closed.
 	build func(k backendKey, e *backend) error

@@ -172,9 +172,11 @@ func NewServer(opts Options) (*Server, error) {
 // every cached backend's subtree under config="…" labels).
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
-// buildBackend configures a new backend for a (program, key) pair — the
-// expensive operation (microcode compile + fastpath trace recording)
-// the LRU exists to amortize.
+// buildBackend configures a new backend for a (program, key) pair,
+// building the pair's image (microcode compile, fastpath trace
+// recording and self-check): the expensive operation the LRU exists to
+// amortize. A farm backend's workers load that image on every switch to
+// the pair; none of them compiles it again.
 func (s *Server) buildBackend(k backendKey, e *backend) error {
 	cfg := core.Config{Unroll: k.unroll, Interpreter: s.opts.Interpreter}
 	switch s.opts.Backend {
