@@ -837,40 +837,6 @@ func (e *engine) shuffle(idx int, v [datapath.Cols]int) [datapath.Cols]int {
 	return out
 }
 
-// operandSet resolves an element operand source to its abstract value.
-func (e *engine) operandSet(src isa.Src, c int, vec [datapath.Cols]int,
-	el *rce.RCE, r int, consumerElem isa.Elem, newTiming bool) int {
-	switch src {
-	case isa.SrcINA:
-		return vec[c]
-	case isa.SrcINB:
-		return vec[secondaryBlock(c, 0)]
-	case isa.SrcINC:
-		return vec[secondaryBlock(c, 1)]
-	case isa.SrcIND:
-		return vec[secondaryBlock(c, 2)]
-	case isa.SrcINER:
-		cell := cellIndex(c, int(el.Cfg.ER.Bank), int(el.Cfg.ER.Addr))
-		consumer := e.cfgAddr[(r*datapath.Cols+c)*16+int(consumerElem)]
-		if e.tap != nil && e.tap.Addr != nil {
-			site := LaneSite{Kind: LaneERAddr, Row: r, Col: c}
-			e.tap.Addr(e.curTick, site, consumerElem, consumer, e.laneTaint(site))
-		}
-		return e.eramRead(cell, consumer)
-	}
-	return 0 // immediate or undefined source: no dependency
-}
-
-// secondaryBlock mirrors datapath.secondary: column c's k-th secondary
-// input block (k=0 → INB, 1 → INC, 2 → IND).
-func secondaryBlock(c, k int) int {
-	b := k
-	if b >= c {
-		b++
-	}
-	return b
-}
-
 // withElemFact tags a chain value with the element instance's own fact and
 // (on new timing configurations) records the instance in the inventory.
 func (e *engine) withElemFact(x, r, c int, el isa.Elem, record bool) int {
@@ -880,53 +846,35 @@ func (e *engine) withElemFact(x, r, c int, el isa.Elem, record bool) int {
 	return e.join(x, e.singleton(e.fact(factInfo{kind: factElem, a: r*datapath.Cols + c, b: int(el)})))
 }
 
-// evalCell mirrors rce.Eval over abstract values: INSEL selection, then
-// every enabled element in the fixed chain order, each folding its own fact
-// and its operand's fact set into the running value.
+// evalCell walks the cell's decoded chain over abstract values: the
+// INSEL-selected port, then every active element, each folding its own
+// fact and its operand's fact set into the running value.
 func (e *engine) evalCell(r, c int, el *rce.RCE, vec, prev [datapath.Cols]int, newTiming bool) int {
-	var x int
-	switch src := el.Cfg.Insel.Source & 7; src {
-	case 1:
-		x = vec[secondaryBlock(c, 0)]
-	case 2:
-		x = vec[secondaryBlock(c, 1)]
-	case 3:
-		x = vec[secondaryBlock(c, 2)]
-	case 4, 5, 6, 7:
-		x = prev[src-4]
-	default:
-		x = vec[c]
-	}
-	step := func(elem isa.Elem, active bool, data uint64) {
-		if !active {
-			return
-		}
+	ch := el.Chain()
+	x := datapath.PortValue(c, ch.Insel, &vec, &prev)
+	for _, s := range ch.Steps() {
+		cfgKey := (r*datapath.Cols+c)*16 + int(s.Elem)
 		// Table-read index taint: the chain value entering a C element is
 		// the LUT-bank read address; the value entering an F element indexes
 		// the folded GF contribution tables in a compiled fastpath (and the
 		// LUT-realized GF logic in hardware). Observed before the element's
 		// own fact joins — the index is what the element consumes.
-		if e.tap != nil && e.tap.Table != nil && (elem == isa.ElemC || elem == isa.ElemF) {
-			e.tap.Table(e.curTick, r, c, elem,
-				e.cfgAddr[(r*datapath.Cols+c)*16+int(elem)], e.taintOf(x))
+		if e.tap != nil && e.tap.Table != nil && (s.Elem == isa.ElemC || s.Elem == isa.ElemF) {
+			e.tap.Table(e.curTick, r, c, s.Elem, e.cfgAddr[cfgKey], e.taintOf(x))
 		}
-		x = e.withElemFact(x, r, c, elem, newTiming)
-		if src, hasOp := isa.ElemOperand(elem, data); hasOp && src != isa.SrcImm {
-			x = e.join(x, e.operandSet(src, c, vec, el, r, elem, newTiming))
+		x = e.withElemFact(x, r, c, s.Elem, newTiming)
+		switch s.Operand.From {
+		case rce.FromPort:
+			x = e.join(x, datapath.PortValue(c, s.Operand.Port, &vec, &prev))
+		case rce.FromERAM:
+			consumer := e.cfgAddr[cfgKey]
+			if e.tap != nil && e.tap.Addr != nil {
+				site := LaneSite{Kind: LaneERAddr, Row: r, Col: c}
+				e.tap.Addr(e.curTick, site, s.Elem, consumer, e.laneTaint(site))
+			}
+			x = e.join(x, e.eramRead(cellIndex(c, int(el.Cfg.ER.Bank), int(el.Cfg.ER.Addr)), consumer))
 		}
 	}
-	cfg := &el.Cfg
-	step(isa.ElemE1, cfg.E1.Mode != isa.EBypass, cfg.E1.Encode())
-	step(isa.ElemA1, cfg.A1.Op != isa.ABypass, cfg.A1.Encode())
-	step(isa.ElemC, cfg.C.Mode != isa.CBypass, cfg.C.Encode())
-	step(isa.ElemE2, cfg.E2.Mode != isa.EBypass, cfg.E2.Encode())
-	if el.HasMul {
-		step(isa.ElemD, cfg.D.Mode != isa.DBypass, cfg.D.Encode())
-	}
-	step(isa.ElemB, cfg.B.Mode != isa.BBypass, cfg.B.Encode())
-	step(isa.ElemF, cfg.F.Mode != isa.FBypass, cfg.F.Encode())
-	step(isa.ElemA2, cfg.A2.Op != isa.ABypass, cfg.A2.Encode())
-	step(isa.ElemE3, cfg.E3.Mode != isa.EBypass, cfg.E3.Encode())
 	return x
 }
 

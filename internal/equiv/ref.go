@@ -281,131 +281,83 @@ func (w *refWalker) tick() (out [datapath.Cols]xid, emitted bool, err error) {
 	return out, false, nil
 }
 
-// evalCell mirrors rce.Eval symbolically: INSEL selection, then every
-// element of the fixed chain in order, each building its arena expression.
+// evalCell walks the cell's decoded chain symbolically: the INSEL-selected
+// port, then every active element, each building its arena expression. The
+// eRAM read port is a frozen setup-time constant.
 func (w *refWalker) evalCell(r, c int, el *rce.RCE, vec, prev [datapath.Cols]xid) xid {
 	a := w.a
-	cfg := &el.Cfg
-
-	// sel resolves an operand source, mirroring rce.Inputs.Select: the eRAM
-	// read port is a frozen setup-time constant, undefined sources are zero.
-	sel := func(src isa.Src, imm uint32) xid {
-		switch src {
-		case isa.SrcINB:
-			return vec[secondaryBlock(c, 0)]
-		case isa.SrcINC:
-			return vec[secondaryBlock(c, 1)]
-		case isa.SrcIND:
-			return vec[secondaryBlock(c, 2)]
-		case isa.SrcINER:
-			return a.Const(w.m.Array.ReadERAM(c, int(cfg.ER.Bank), int(cfg.ER.Addr)))
-		case isa.SrcImm:
-			return a.Const(imm)
-		case isa.SrcINA:
-			return vec[c]
+	operand := func(o rce.Operand) xid {
+		switch o.From {
+		case rce.FromPort:
+			return datapath.PortValue(c, o.Port, &vec, &prev)
+		case rce.FromERAM:
+			return a.Const(w.m.Array.ReadERAM(c, int(el.Cfg.ER.Bank), int(el.Cfg.ER.Addr)))
 		}
-		return a.Const(0)
+		return a.Const(o.Imm)
 	}
-	evalE := func(e isa.ECfg, x xid) xid {
-		if e.Mode == isa.EBypass {
-			return x
-		}
-		if e.AmtSrc == isa.SrcImm {
-			amt := uint(e.Amt)
-			if e.Neg {
-				amt = (32 - amt) & 31
+	ch := el.Chain()
+	x := datapath.PortValue(c, ch.Insel, &vec, &prev)
+	for _, s := range ch.Steps() {
+		switch s.Op {
+		case rce.OpShl, rce.OpShr, rce.OpRotl:
+			if s.Operand.From == rce.FromImm {
+				amt := s.Amount(s.Operand.Imm)
+				switch s.Op {
+				case rce.OpShl:
+					x = a.Shl(x, amt)
+				case rce.OpShr:
+					x = a.Shr(x, amt)
+				default:
+					x = a.Rotl(x, amt)
+				}
+				continue
 			}
-			switch e.Mode {
-			case isa.EShl:
-				return a.Shl(x, amt)
-			case isa.EShr:
-				return a.Shr(x, amt)
+			amtX := operand(s.Operand)
+			switch s.Op {
+			case rce.OpShl:
+				x = a.ShlVar(x, amtX, s.Neg)
+			case rce.OpShr:
+				x = a.ShrVar(x, amtX, s.Neg)
 			default:
-				return a.Rotl(x, amt)
+				x = a.RotlVar(x, amtX, s.Neg)
 			}
-		}
-		amtX := sel(e.AmtSrc, 0)
-		switch e.Mode {
-		case isa.EShl:
-			return a.ShlVar(x, amtX, e.Neg)
-		case isa.EShr:
-			return a.ShrVar(x, amtX, e.Neg)
-		default:
-			return a.RotlVar(x, amtX, e.Neg)
-		}
-	}
-	evalA := func(ac isa.ACfg, x xid) xid {
-		if ac.Op == isa.ABypass {
-			return x
-		}
-		op := sel(ac.Operand, ac.Imm)
-		if ac.PreShift != 0 {
-			if ac.PreShiftRot {
-				op = a.Rotl(op, uint(ac.PreShift))
-			} else {
-				op = a.Shl(op, uint(ac.PreShift))
+		case rce.OpXor, rce.OpAnd, rce.OpOr:
+			op := operand(s.Operand)
+			if s.Shift != 0 {
+				if s.Rot {
+					op = a.Rotl(op, uint(s.Shift))
+				} else {
+					op = a.Shl(op, uint(s.Shift))
+				}
 			}
-		}
-		switch ac.Op {
-		case isa.AXor:
-			return a.Xor(x, op)
-		case isa.AAnd:
-			return a.And(x, op)
-		default:
-			return a.Or(x, op)
-		}
-	}
-
-	var x xid
-	switch src := cfg.Insel.Source & 7; src {
-	case 1:
-		x = vec[secondaryBlock(c, 0)]
-	case 2:
-		x = vec[secondaryBlock(c, 1)]
-	case 3:
-		x = vec[secondaryBlock(c, 2)]
-	case 4, 5, 6, 7:
-		x = prev[src-4]
-	default:
-		x = vec[c]
-	}
-	x = evalE(cfg.E1, x)
-	x = evalA(cfg.A1, x)
-	switch cfg.C.Mode {
-	case isa.CS8x8:
-		x = a.S8(x, w.s8id(r, c, el))
-	case isa.CS4x4:
-		x = a.S4(x, w.s4id(r, c, el), uint32(cfg.C.Page))
-	case isa.CS8to32:
-		x = a.S8to32(x, w.s8id(r, c, el), uint32(cfg.C.ByteSel))
-	}
-	x = evalE(cfg.E2, x)
-	if el.HasMul {
-		switch cfg.D.Mode {
-		case isa.DMul16:
-			x = a.Mul(x, sel(cfg.D.Operand, cfg.D.Imm), bits.W16)
-		case isa.DMul32:
-			x = a.Mul(x, sel(cfg.D.Operand, cfg.D.Imm), bits.W32)
-		case isa.DSquare:
+			switch s.Op {
+			case rce.OpXor:
+				x = a.Xor(x, op)
+			case rce.OpAnd:
+				x = a.And(x, op)
+			default:
+				x = a.Or(x, op)
+			}
+		case rce.OpS8:
+			x = a.S8(x, w.s8id(r, c, el))
+		case rce.OpS4:
+			x = a.S4(x, w.s4id(r, c, el), uint32(s.Sel))
+		case rce.OpS8to32:
+			x = a.S8to32(x, w.s8id(r, c, el), uint32(s.Sel))
+		case rce.OpMul:
+			x = a.Mul(x, operand(s.Operand), s.Width)
+		case rce.OpSquare:
 			x = a.Square(x)
+		case rce.OpAdd:
+			x = a.Add(x, operand(s.Operand), s.Width)
+		case rce.OpSub:
+			x = a.Sub(x, operand(s.Operand), s.Width)
+		case rce.OpGFLanes:
+			x = a.GF(x, gfLanes, s.Consts)
+		case rce.OpGFMDS:
+			x = a.GF(x, gfMDS, s.Consts)
 		}
 	}
-	if cfg.B.Mode != isa.BBypass {
-		op := sel(cfg.B.Operand, cfg.B.Imm)
-		if cfg.B.Mode == isa.BAdd {
-			x = a.Add(x, op, bits.Width(cfg.B.Width))
-		} else {
-			x = a.Sub(x, op, bits.Width(cfg.B.Width))
-		}
-	}
-	switch cfg.F.Mode {
-	case isa.FLanes:
-		x = a.GF(x, gfLanes, cfg.F.Consts)
-	case isa.FMDS:
-		x = a.GF(x, gfMDS, cfg.F.Consts)
-	}
-	x = evalA(cfg.A2, x)
-	x = evalE(cfg.E3, x)
 	return x
 }
 
@@ -511,14 +463,4 @@ func symShuffle(a *Arena, v [datapath.Cols]xid, perm *[16]uint8) [datapath.Cols]
 		out[c] = a.Pack4(b)
 	}
 	return out
-}
-
-// secondaryBlock mirrors datapath's fixed interconnect: the block index of
-// column c's k-th secondary input (k = 0 → INB, 1 → INC, 2 → IND).
-func secondaryBlock(c, k int) int {
-	b := k
-	if b >= c {
-		b++
-	}
-	return b
 }

@@ -432,39 +432,14 @@ func identityPerm(p *[16]uint8) bool {
 	return true
 }
 
-// operandOf resolves an element operand source to either a folded
-// immediate (imm=true) or a block index of the current row vector. fromER
-// marks immediates folded from an eRAM read: the value is key-schedule
-// material, a provenance the side-channel analyzer (package sca) needs
-// after the fold erases the SrcINER encoding.
-func operandOf(src isa.Src, imm uint32, col int, iner uint32) (isImm bool, val uint32, blk uint8, fromER bool) {
-	switch src {
-	case isa.SrcINA:
-		return false, 0, uint8(col), false
-	case isa.SrcINB:
-		return false, 0, uint8(secondaryBlock(col, 0)), false
-	case isa.SrcINC:
-		return false, 0, uint8(secondaryBlock(col, 1)), false
-	case isa.SrcIND:
-		return false, 0, uint8(secondaryBlock(col, 2)), false
-	case isa.SrcINER:
-		return true, iner, 0, true
-	case isa.SrcImm:
-		return true, imm, 0, false
-	default:
-		// Undefined 3-bit encodings select 0, matching rce.Inputs.Select.
-		return true, 0, 0, false
-	}
-}
-
 // gfTables builds (or reuses) the table pair for one F configuration:
 // tab[pos][v] is input byte v at byte position pos contributing to the
 // output word. XORing the four lookups reproduces bits.GFMulWord (lane
 // mode: each byte contributes only to its own lane) and bits.GFMDSColumn
 // (MDS mode: byte col contributes GFMul(v, c[(col-row+4)%4]) to each output
 // row) exactly.
-func gfTables(mode isa.FMode, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
-	key := [5]uint8{uint8(mode), c[0], c[1], c[2], c[3]}
+func gfTables(op rce.Op, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
+	key := [5]uint8{uint8(op), c[0], c[1], c[2], c[3]}
 	if t, ok := cache[key]; ok {
 		return t
 	}
@@ -472,7 +447,7 @@ func gfTables(mode isa.FMode, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
 	for pos := 0; pos < 4; pos++ {
 		for v := 0; v < 256; v++ {
 			var word uint32
-			if mode == isa.FLanes {
+			if op == rce.OpGFLanes {
 				word = uint32(bits.GFMul(uint8(v), c[pos])) << (8 * uint(pos))
 			} else {
 				for row := 0; row < 4; row++ {
@@ -486,142 +461,88 @@ func gfTables(mode isa.FMode, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
 	return t
 }
 
+// immKind is the step kind of each shift and Boolean operation with a
+// folded immediate operand; its block- and amount-operand kinds sit at a
+// fixed offset in the step kind list.
+var immKind = [...]uint8{
+	rce.OpShl: stShlImm, rce.OpShr: stShrImm, rce.OpRotl: stRotlImm,
+	rce.OpXor: stXorImm, rce.OpAnd: stAndImm, rce.OpOr: stOrImm,
+}
+
 // compileCell translates one RCE's per-cycle configuration into its step
-// list, folding everything constant.
+// list, walking its decoded chain and folding everything constant: the
+// immediates, the eRAM reads (immER marks a value folded from one: it is
+// key-schedule material, a provenance the side-channel analyzer in
+// package sca needs after the fold erases the INER source), E amount
+// negation and A operand pre-shifts.
 func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*gfTab) cCell {
-	cfg := rs.cfg
-	cell := cCell{reg: cfg.Reg.Enabled}
-	// INSEL taps INA/INB/INC/IND — column-relative, like every operand mux —
-	// or the previous row's vector by absolute block index (rce.Eval).
-	switch src := cfg.Insel.Source & 7; src {
-	case 1:
-		cell.insel = uint8(secondaryBlock(col, 0))
-	case 2:
-		cell.insel = uint8(secondaryBlock(col, 1))
-	case 3:
-		cell.insel = uint8(secondaryBlock(col, 2))
-	case 4, 5, 6, 7:
-		cell.insel = src // executor reads prev[src-4]
-	default:
-		cell.insel = uint8(col)
-	}
+	ch := rce.Decode(&rs.cfg, datapath.MulColumn(col))
+	cell := cCell{reg: rs.cfg.Reg.Enabled, insel: uint8(datapath.Tap(col, ch.Insel))}
 	if cell.reg && rs.hold {
 		// Frozen registered RCE: presents its stored value, latches nothing.
 		cell.regOnly = true
 		return cell
 	}
-
-	addE := func(e isa.ECfg) {
-		if e.Mode == isa.EBypass {
-			return
+	for _, s := range ch.Steps() {
+		// The operand: a block of the row vector, or a folded immediate.
+		var blk uint8
+		imm, isImm, fromER := s.Operand.Imm, true, false
+		switch s.Operand.From {
+		case rce.FromPort:
+			blk, isImm = uint8(datapath.Tap(col, s.Operand.Port)), false
+		case rce.FromERAM:
+			imm, fromER = rs.iner, true
 		}
-		var kindImm uint8
-		switch e.Mode {
-		case isa.EShl:
-			kindImm = stShlImm
-		case isa.EShr:
-			kindImm = stShrImm
-		default:
-			kindImm = stRotlImm
-		}
-		amtOf := func(raw uint32) uint8 {
-			amt := raw & 31
-			if e.Neg {
-				amt = (32 - amt) & 31
+		switch s.Op {
+		case rce.OpShl, rce.OpShr, rce.OpRotl:
+			kImm := immKind[s.Op]
+			if !isImm {
+				cell.steps = append(cell.steps, step{kind: kImm - stShlImm + stShlVar, src: blk, flag: s.Neg})
+				continue
 			}
-			return uint8(amt)
-		}
-		if e.AmtSrc == isa.SrcImm {
-			if amt := amtOf(uint32(e.Amt)); amt != 0 || e.Mode != isa.ERotl {
-				cell.steps = append(cell.steps, step{kind: kindImm, aux: amt})
+			// A zero rotate is the identity, but a key-sourced amount keeps
+			// its step: the immER provenance must survive for the
+			// side-channel profile.
+			if amt := s.Amount(imm); amt != 0 || s.Op != rce.OpRotl || fromER {
+				cell.steps = append(cell.steps, step{kind: kImm, aux: uint8(amt), immER: fromER})
 			}
-			return
-		}
-		isImm, val, blk, fromER := operandOf(e.AmtSrc, 0, col, rs.iner)
-		if isImm {
-			// A key-sourced amount keeps its step even when it folds to a
-			// zero rotate: the identity operation costs nothing and the
-			// immER provenance must survive for the side-channel profile.
-			if amt := amtOf(val); amt != 0 || e.Mode != isa.ERotl || fromER {
-				cell.steps = append(cell.steps, step{kind: kindImm, aux: amt, immER: fromER})
+		case rce.OpXor, rce.OpAnd, rce.OpOr:
+			kImm := immKind[s.Op]
+			if isImm {
+				cell.steps = append(cell.steps, step{kind: kImm, imm: s.PreShifted(imm), immER: fromER})
+			} else {
+				cell.steps = append(cell.steps, step{
+					kind: kImm - stXorImm + stXorBlk, src: blk, aux: s.Shift & 31, flag: s.Rot,
+				})
 			}
-			return
-		}
-		cell.steps = append(cell.steps, step{kind: kindImm - stShlImm + stShlVar, src: blk, flag: e.Neg})
-	}
-	addA := func(a isa.ACfg) {
-		if a.Op == isa.ABypass {
-			return
-		}
-		var kImm uint8
-		switch a.Op {
-		case isa.AXor:
-			kImm = stXorImm
-		case isa.AAnd:
-			kImm = stAndImm
-		default:
-			kImm = stOrImm
-		}
-		isImm, val, blk, fromER := operandOf(a.Operand, a.Imm, col, rs.iner)
-		if isImm {
-			if a.PreShift != 0 {
-				if a.PreShiftRot {
-					val = bits.RotL(val, uint(a.PreShift))
-				} else {
-					val = bits.Shl(val, uint(a.PreShift))
-				}
+		case rce.OpS8:
+			cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
+		case rce.OpS4:
+			cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: s.Sel})
+		case rce.OpS8to32:
+			cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: s.Sel})
+		case rce.OpMul:
+			if isImm {
+				cell.steps = append(cell.steps, step{kind: stMulImm, imm: imm, aux: uint8(s.Width), immER: fromER})
+			} else {
+				cell.steps = append(cell.steps, step{kind: stMulBlk, src: blk, aux: uint8(s.Width)})
 			}
-			cell.steps = append(cell.steps, step{kind: kImm, imm: val, immER: fromER})
-			return
-		}
-		cell.steps = append(cell.steps, step{
-			kind: kImm - stXorImm + stXorBlk, src: blk, aux: a.PreShift & 31, flag: a.PreShiftRot,
-		})
-	}
-
-	addE(cfg.E1)
-	addA(cfg.A1)
-	switch cfg.C.Mode {
-	case isa.CS8x8:
-		cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
-	case isa.CS4x4:
-		cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: cfg.C.Page & 7})
-	case isa.CS8to32:
-		cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: cfg.C.ByteSel & 3})
-	}
-	addE(cfg.E2)
-	switch cfg.D.Mode {
-	case isa.DMul16, isa.DMul32:
-		w := uint8(bits.W16)
-		if cfg.D.Mode == isa.DMul32 {
-			w = uint8(bits.W32)
-		}
-		isImm, val, blk, fromER := operandOf(cfg.D.Operand, cfg.D.Imm, col, rs.iner)
-		if isImm {
-			cell.steps = append(cell.steps, step{kind: stMulImm, imm: val, aux: w, immER: fromER})
-		} else {
-			cell.steps = append(cell.steps, step{kind: stMulBlk, src: blk, aux: w})
-		}
-	case isa.DSquare:
-		cell.steps = append(cell.steps, step{kind: stSquare})
-	}
-	if cfg.B.Mode != isa.BBypass {
-		kImm, kBlk := stAddImm, stAddBlk
-		if cfg.B.Mode == isa.BSub {
-			kImm, kBlk = stSubImm, stSubBlk
-		}
-		isImm, val, blk, fromER := operandOf(cfg.B.Operand, cfg.B.Imm, col, rs.iner)
-		if isImm {
-			cell.steps = append(cell.steps, step{kind: kImm, imm: val, aux: cfg.B.Width & 3, immER: fromER})
-		} else {
-			cell.steps = append(cell.steps, step{kind: kBlk, src: blk, aux: cfg.B.Width & 3})
+		case rce.OpSquare:
+			cell.steps = append(cell.steps, step{kind: stSquare})
+		case rce.OpAdd, rce.OpSub:
+			kImm, kBlk := stAddImm, stAddBlk
+			if s.Op == rce.OpSub {
+				kImm, kBlk = stSubImm, stSubBlk
+			}
+			if isImm {
+				cell.steps = append(cell.steps, step{kind: kImm, imm: imm, aux: uint8(s.Width) & 3, immER: fromER})
+			} else {
+				cell.steps = append(cell.steps, step{kind: kBlk, src: blk, aux: uint8(s.Width) & 3})
+			}
+		case rce.OpGFLanes, rce.OpGFMDS:
+			cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(s.Op, s.Consts, gfCache)})
 		}
 	}
-	if cfg.F.Mode == isa.FLanes || cfg.F.Mode == isa.FMDS {
-		cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(cfg.F.Mode, cfg.F.Consts, gfCache)})
-	}
-	addA(cfg.A2)
-	addE(cfg.E3)
 
 	if len(cell.steps) == 0 && cell.insel == uint8(col) && !cell.reg {
 		cell.passthrough = true

@@ -233,13 +233,3 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 	e.dirty = true
 	return stats, nil
 }
-
-// secondaryBlock mirrors datapath's fixed interconnect: the block index of
-// column c's k-th secondary input (k = 0 → INB, 1 → INC, 2 → IND).
-func secondaryBlock(c, k int) int {
-	b := k
-	if b >= c {
-		b++
-	}
-	return b
-}

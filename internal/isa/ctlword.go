@@ -577,31 +577,6 @@ func DecodeFlag(d uint64) FlagCfg {
 	return FlagCfg{Set: uint16(d), Clear: uint16(d >> 16)}
 }
 
-// ElemOperand returns the secondary-operand source an element control word
-// consumes through its M multiplexor, and whether the configured mode
-// consumes one at all. Elements without an operand mux (INSEL, C, F, REG,
-// ER) report false, as do bypassed modes and D's square mode (which reads
-// only the primary input). Package vet uses this for the INER-configuration
-// check and package dataflow for def-use chain construction; both must
-// agree exactly with the evaluation semantics in package rce.
-func ElemOperand(e Elem, data uint64) (Src, bool) {
-	switch e {
-	case ElemA1, ElemA2:
-		cfg := DecodeA(data)
-		return cfg.Operand, cfg.Op != ABypass
-	case ElemB:
-		cfg := DecodeB(data)
-		return cfg.Operand, cfg.Mode != BBypass
-	case ElemD:
-		cfg := DecodeD(data)
-		return cfg.Operand, cfg.Mode == DMul16 || cfg.Mode == DMul32
-	case ElemE1, ElemE2, ElemE3:
-		cfg := DecodeE(data)
-		return cfg.AmtSrc, cfg.Mode != EBypass
-	}
-	return 0, false
-}
-
 // LUT address field layout for OpLoadLUT. Bit 8 selects the 4→4 bank space;
 // otherwise the 8→8 banks are addressed. For 8→8 banks the group field
 // addresses 4 consecutive bytes; for 4→4 banks it addresses 8 consecutive

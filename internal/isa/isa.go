@@ -180,12 +180,10 @@ func unpackSlice(v uint16) Slice {
 }
 
 // Elem addresses one component within an RCE (the "element address" field).
-// The data path order within an RCE is:
-//
-//	INSEL → E1 → A1 → B → C → E2 → D → F → A2 → E3 → REG → OUT
-//
-// D exists only in RCE MULs (columns 1 and 3). ER is the embedded-RAM read
-// port configuration (bank and address presented on INER).
+// The numbering is an encoding, not the data path order, which package
+// rce's chain defines. D exists only in RCE MULs (columns 1 and 3). ER is
+// the embedded-RAM read port configuration (bank and address presented on
+// INER).
 type Elem uint8
 
 const (

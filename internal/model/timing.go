@@ -55,40 +55,31 @@ func DefaultDelays() Delays {
 	}
 }
 
-// rceDelay sums the enabled elements of one RCE plus the row overhead.
-func (d Delays) rceDelay(r *rce.RCE) float64 {
+// rceDelay sums the active elements of one RCE's chain plus the row
+// overhead, which INSEL shares.
+func (d Delays) rceDelay(ch *rce.Chain) float64 {
 	t := d.RowMux
-	for _, e := range r.ActiveElements() {
-		switch e {
-		case isa.ElemInsel:
-			// INSEL shares the row multiplexing overhead.
-		case isa.ElemE1, isa.ElemE2, isa.ElemE3:
+	for _, s := range ch.Steps() {
+		switch s.Op {
+		case rce.OpShl, rce.OpShr, rce.OpRotl:
 			t += d.E
-		case isa.ElemA1:
+		case rce.OpXor, rce.OpAnd, rce.OpOr:
 			t += d.A
-		case isa.ElemA2:
-			t += d.A
-			if r.Cfg.A2.PreShift != 0 {
+			if s.Elem == isa.ElemA2 && s.Shift != 0 {
 				t += d.APreShift
 			}
-		case isa.ElemB:
+		case rce.OpAdd, rce.OpSub:
 			t += d.B
-		case isa.ElemC:
-			if r.Cfg.C.Mode == isa.CS4x4 {
-				t += d.C4
-			} else {
-				t += d.C8
-			}
-		case isa.ElemD:
+		case rce.OpS4:
+			t += d.C4
+		case rce.OpS8, rce.OpS8to32:
+			t += d.C8
+		case rce.OpMul, rce.OpSquare:
 			t += d.D
-		case isa.ElemF:
-			if r.Cfg.F.Mode == isa.FMDS {
-				t += d.FMDS
-			} else {
-				t += d.FLanes
-			}
-		case isa.ElemReg:
-			// Register setup is added once per segment cut.
+		case rce.OpGFMDS:
+			t += d.FMDS
+		case rce.OpGFLanes:
+			t += d.FLanes
 		}
 	}
 	return t
@@ -127,7 +118,7 @@ func Analyze(a *datapath.Array, d Delays) Timing {
 		worst := 0.0
 		for c := 0; c < datapath.Cols; c++ {
 			el := a.RCE(r, c)
-			if dl := d.rceDelay(el); dl > worst {
+			if dl := d.rceDelay(el.Chain()); dl > worst {
 				worst = dl
 			}
 			if el.Cfg.Reg.Enabled {

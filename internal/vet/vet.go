@@ -59,6 +59,7 @@ import (
 	"cobra/internal/asm"
 	"cobra/internal/datapath"
 	"cobra/internal/isa"
+	"cobra/internal/rce"
 )
 
 // Severity classifies a finding.
@@ -287,15 +288,6 @@ func (c *checker) staticChecks() {
 	}
 }
 
-// operandSrc extracts the secondary-operand source an element
-// configuration actually consumes, if any.
-func operandSrc(in isa.Instr) (isa.Src, bool) {
-	if in.Op != isa.OpCfgElem {
-		return 0, false
-	}
-	return isa.ElemOperand(in.Elem, in.Data)
-}
-
 // checkINER flags RCEs that are configured to read the embedded-RAM port
 // (a SrcINER operand) without any CFGE ER anywhere in the program
 // presenting a word on that port. The analysis is whole-program and
@@ -340,8 +332,10 @@ func (c *checker) checkINER() {
 		}
 	}
 	for addr, in := range c.prog {
-		src, active := operandSrc(in)
-		if !active || src != isa.SrcINER {
+		if in.Op != isa.OpCfgElem {
+			continue
+		}
+		if st, active := rce.DecodeElem(in.Elem, in.Data); !active || st.Operand.From != rce.FromERAM {
 			continue
 		}
 		if rowScoped(in.Slice) && int(in.Slice.Row) >= rows {
