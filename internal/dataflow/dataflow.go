@@ -5,13 +5,16 @@
 // package checks what the datapath actually computes. COBRA control flow is
 // deterministic — OpJmp is unconditional and the ready idle point only
 // pauses the sequencer — so a program's configuration schedule is a single
-// trace. The engine unrolls that trace with an abstract machine that
-// mirrors sim.Machine.Run instruction for instruction and datapath.Array.Tick
-// phase for phase, but replaces every 32-bit word with an abstract value:
-// an interned set of definition facts (which element instances, eRAM
-// stores, key and plaintext inputs the word structurally depends on). A
-// shadow datapath.Array carries the configuration state, so decode,
-// broadcast and slice semantics are the simulator's own code paths.
+// trace. The engine unrolls that trace by running the program on a real
+// sim.Machine, the one instruction loop, with go held low so that the
+// machine returns after every datapath cycle and at every ready raise.
+// Through the machine's Trace hook it records what each instruction
+// defines; through its TickHook it evaluates each cycle a second time,
+// phase for phase as datapath.Array.Tick does, but with every 32-bit word
+// replaced by an abstract value: an interned set of definition facts
+// (which element instances, eRAM stores, key and plaintext inputs the word
+// structurally depends on). Fetch, window, decode, broadcast and slice
+// semantics are therefore the simulator's own code paths.
 //
 // The walk terminates when the complete abstract state repeats at a cycle
 // boundary (the transition function is deterministic over interned state,

@@ -1,8 +1,9 @@
 // Package equiv is a word-level symbolic translation validator for compiled
 // fastpath traces. It executes the microcode's bulk-encryption phase and the
 // compiled trace side by side over a shared hash-consed expression arena —
-// the reference side walking the program on a cycle-accurate shadow array,
-// the fastpath side replaying the compiled op list with its folded T-tables
+// the reference side running the program on a cycle-accurate sim.Machine
+// and evaluating each of its cycles symbolically, the fastpath side
+// replaying the compiled op list with its folded T-tables
 // re-expanded to their defining GF(2^8) expressions — and proves every
 // emitted block's four output expressions identical. The proof closes over
 // the infinite stream in two phases: a base phase walks from the true

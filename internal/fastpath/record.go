@@ -116,22 +116,30 @@ func (rec *recording) snapshot() {
 	rec.ticks = append(rec.ticks, s)
 }
 
-// watch flags instructions the compiled trace cannot replay: anything that
-// mutates state the recorder resolved to immediates (eRAM, LUTs) or that
-// writes back into the eRAMs per cycle (capture).
-func (rec *recording) watch(addr int, in isa.Instr) {
-	if rec.hazard != nil {
-		return
-	}
+// Hazard returns an error wrapping ErrNotSteady when the instruction at
+// addr, executed during bulk encryption, is one a compiled trace cannot
+// replay: anything that mutates state the recorder resolved to immediates
+// (eRAM, LUTs) or that writes back into the eRAMs per cycle (capture). It
+// returns nil for every other instruction. The recorder and the reference
+// walk of internal/equiv both refuse a bulk phase through it.
+func Hazard(addr int, in isa.Instr) error {
 	switch in.Op {
 	case isa.OpERAMWrite:
-		rec.hazard = fmt.Errorf("%w: eRAM write at %#x during bulk encryption", ErrNotSteady, addr)
+		return fmt.Errorf("%w: eRAM write at %#x during bulk encryption", ErrNotSteady, addr)
 	case isa.OpLoadLUT:
-		rec.hazard = fmt.Errorf("%w: LUT load at %#x during bulk encryption", ErrNotSteady, addr)
+		return fmt.Errorf("%w: LUT load at %#x during bulk encryption", ErrNotSteady, addr)
 	case isa.OpCfgCapture:
 		if isa.DecodeCapture(in.Data).Enabled {
-			rec.hazard = fmt.Errorf("%w: capture port enabled at %#x during bulk encryption", ErrNotSteady, addr)
+			return fmt.Errorf("%w: capture port enabled at %#x during bulk encryption", ErrNotSteady, addr)
 		}
+	}
+	return nil
+}
+
+// watch keeps the first hazard of the recorded run.
+func (rec *recording) watch(addr int, in isa.Instr) {
+	if rec.hazard == nil {
+		rec.hazard = Hazard(addr, in)
 	}
 }
 
