@@ -2,8 +2,11 @@ package dataflow_test
 
 import (
 	"testing"
+	"time"
 
 	"cobra/internal/bench"
+	"cobra/internal/dataflow"
+	"cobra/internal/isa"
 	"cobra/internal/program"
 	"cobra/internal/vet"
 )
@@ -60,4 +63,24 @@ func severityCount(fs []vet.Finding) (warns, errs int) {
 		}
 	}
 	return
+}
+
+// TestReadyLoopCompletes walks a window-2 loop that raises ready and jumps
+// back. It completes no instruction window, so a machine with go high
+// spins in it forever without a datapath cycle. The walk holds go low,
+// so every ready raise hands control back to it, and the state repeats
+// at the second idle point.
+func TestReadyLoopCompletes(t *testing.T) {
+	prog := []isa.Instr{flag(isa.FlagReady, 0), {Op: isa.OpJmp, Data: 0}}
+	done := make(chan *dataflow.Result, 1)
+	go func() { done <- dataflow.Analyze(prog, dataflow.Config{Window: 2}) }()
+	select {
+	case res := <-done:
+		if !res.Complete || res.Outputs != 0 || len(res.Findings) != 0 {
+			t.Fatalf("complete=%t outputs=%d findings=%v; want a complete walk, no outputs, no findings",
+				res.Complete, res.Outputs, res.Findings)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the walk of a ready-raising loop did not return")
+	}
 }
