@@ -2,8 +2,11 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"cobra/internal/asm"
+	"cobra/internal/bits"
 	"cobra/internal/isa"
 	"cobra/internal/sim"
 	"cobra/internal/vet"
@@ -47,44 +50,38 @@ func TestBuildersLintClean(t *testing.T) {
 	}
 }
 
-// TestVetPathMatchesSimulator cross-checks the verifier's abstract walk
-// against the real machine: the tick positions and instruction counts
-// vet computes for the setup path must equal the simulator's counters
-// when the same program runs to its idle point.
+// TestVetPathMatchesSimulator cross-checks the reachability vet's walk
+// computes against the real machine: vet finds no unreachable code in any
+// builder, so the machine, run through setup and three blocks, must
+// execute every instruction of the program.
 func TestVetPathMatchesSimulator(t *testing.T) {
 	for _, p := range allBuilders(t) {
 		name := fmt.Sprintf("%s/w=%d", p.Name, p.Window)
 		t.Run(name, func(t *testing.T) {
-			ps, err := vet.WalkToIdle(p.Instrs, p.Window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ps.Stop != vet.StopIdle {
-				t.Fatalf("setup path stops with %v, want idle at ready", ps.Stop)
+			for _, f := range p.Vet() {
+				if f.Code == "dead-code" {
+					t.Fatalf("vet: %s", f)
+				}
 			}
 			m, err := NewMachine(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Go = false
-			if err := m.LoadProgram(p.Words()); err != nil {
+			ran := make([]bool, len(p.Instrs))
+			m.Trace = func(addr int, _ isa.Instr) { ran[addr] = true }
+			if err := Load(m, p); err != nil {
 				t.Fatal(err)
 			}
-			reason, err := m.Run(sim.Limits{})
-			if err != nil {
+			m.PushInput(make([]bits.Block128, 64)...)
+			m.Go = true
+			if reason, err := m.Run(sim.Limits{StopAfterOutputs: 3}); err != nil {
 				t.Fatal(err)
+			} else if reason != sim.StopOutputs {
+				t.Fatalf("machine stopped with %v, want three outputs", reason)
 			}
-			if reason != sim.StopWaitGo {
-				t.Fatalf("machine stopped with %v, want StopWaitGo", reason)
-			}
-			st := m.Stats()
-			if st.Cycles != ps.Ticks || st.Instructions != ps.Instructions || st.Nops != ps.Nops {
-				t.Errorf("sim (cycles=%d instrs=%d nops=%d) != vet (ticks=%d instrs=%d nops=%d)",
-					st.Cycles, st.Instructions, st.Nops, ps.Ticks, ps.Instructions, ps.Nops)
-			}
-			// The sequencer idles one past the ready-raise it just fetched.
-			if pc := m.Seq.PC(); pc != ps.StopAddr+1 {
-				t.Errorf("machine idles at pc %#x, vet stops at %#x", pc, ps.StopAddr)
+			if i := slices.Index(ran, false); i >= 0 {
+				t.Errorf("vet reaches every address, but the machine never executes %04x: %s",
+					i, asm.Line(p.Instrs[i]))
 			}
 		})
 	}

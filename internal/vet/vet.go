@@ -562,68 +562,3 @@ func (c *checker) deadCode(reached []bool) {
 		i = j
 	}
 }
-
-// StopKind says how a WalkToIdle trace ended.
-type StopKind uint8
-
-const (
-	// StopIdle: the trace reached a ready-raise (the §3.4 idle point).
-	StopIdle StopKind = iota
-	// StopHalt: the trace executed HALT.
-	StopHalt
-)
-
-// PathStats are the execution counters of the deterministic instruction
-// trace from address 0 to the first idle point, computed without running
-// the datapath. They match the simulator's counters instruction for
-// instruction (cross-checked in package program's tests): Ticks
-// corresponds to sim.Stats.Cycles, Instructions and Nops to their
-// namesakes, and StopAddr to the address of the ready-raise or HALT.
-type PathStats struct {
-	Instructions int
-	Ticks        int
-	Nops         int
-	StopAddr     int
-	Stop         StopKind
-}
-
-// WalkToIdle traces the setup path: from address 0 to the first
-// instruction that raises the ready flag (where a machine with go
-// deasserted idles) or to a HALT. It returns an error for traces that
-// leave the program or never reach an idle point.
-func WalkToIdle(prog []isa.Instr, window int) (PathStats, error) {
-	if window < 1 {
-		window = 1
-	}
-	var ps PathStats
-	pc, phase := 0, 0
-	for steps := 0; steps < maxWalkSteps; steps++ {
-		if pc < 0 || pc >= len(prog) {
-			return ps, fmt.Errorf("vet: trace leaves the program at address %#x", pc)
-		}
-		in := prog[pc]
-		ps.Instructions++
-		switch {
-		case in.Op == isa.OpHalt:
-			ps.StopAddr, ps.Stop = pc, StopHalt
-			return ps, nil
-		case readySet(in):
-			ps.StopAddr, ps.Stop = pc, StopIdle
-			return ps, nil
-		}
-		if in.Op == isa.OpNop {
-			ps.Nops++
-		}
-		if in.Op == isa.OpJmp {
-			pc = int(in.Data & 0xfff)
-		} else {
-			pc++
-		}
-		phase++
-		if phase == window {
-			phase = 0
-			ps.Ticks++
-		}
-	}
-	return ps, fmt.Errorf("vet: no idle point within %d instructions", maxWalkSteps)
-}

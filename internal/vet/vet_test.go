@@ -344,33 +344,3 @@ func TestFindingString(t *testing.T) {
 		}
 	}
 }
-
-func TestWalkToIdle(t *testing.T) {
-	prog := []isa.Instr{
-		disoutAll(),            // 0
-		cfgeCAll(),             // 1
-		nop(),                  // 2
-		enoutAll(),             // 3
-		flag(isa.FlagReady, 0), // 4: idle point
-	}
-	ps, err := vet.WalkToIdle(prog, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := vet.PathStats{Instructions: 5, Ticks: 2, Nops: 1, StopAddr: 4, Stop: vet.StopIdle}
-	if ps != want {
-		t.Fatalf("WalkToIdle = %+v, want %+v", ps, want)
-	}
-
-	ps, err = vet.WalkToIdle([]isa.Instr{nop(), halt()}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Stop != vet.StopHalt || ps.StopAddr != 1 || ps.Instructions != 2 {
-		t.Fatalf("halt trace = %+v", ps)
-	}
-
-	if _, err := vet.WalkToIdle([]isa.Instr{nop()}, 1); err == nil {
-		t.Fatal("trace leaving the program should error")
-	}
-}
