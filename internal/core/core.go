@@ -368,9 +368,7 @@ func (d *Device) FastpathErr() error { return d.enc.err }
 // encryption engine, or with decrypt set the decryption engine, built on
 // first use — and folds the call's simulator counters into the device's.
 // The batch runs on the compiled trace when there is one, else on the
-// interpreter. A machine that has interpreted since its last load owns
-// the in-flight stats chain, so such an engine stays on the interpreter.
-// The context is checked once per batch — a simulated batch is the unit
+// interpreter. The context is checked once per batch — a simulated batch is the unit
 // of work a caller can abandon.
 func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block128) (sim.Stats, error) {
 	if err := ctx.Err(); err != nil {
@@ -383,19 +381,16 @@ func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block
 		}
 	}
 	var st sim.Stats
-	if e.fast != nil && !e.machine.Dirty() {
+	if e.fast != nil {
 		st, err = e.fast.EncryptInto(dst, blocks)
 		if err == nil {
 			d.met.fastBlocks.Add(int64(len(blocks)))
 		}
 	} else {
-		switch {
-		case d.img.cfg.Interpreter:
+		if d.img.cfg.Interpreter {
 			d.met.fbForced.Inc()
-		case e.fast == nil:
+		} else {
 			d.met.fbRefused.Inc()
-		default:
-			d.met.fbDirty.Inc()
 		}
 		st, err = program.Run(e.machine, e.prog, dst, blocks, program.Opts{})
 		if err == nil {

@@ -79,7 +79,6 @@ type deviceMetrics struct {
 	interpBlocks *obs.Counter
 
 	// Why a bulk call fell back to the interpreter.
-	fbDirty   *obs.Counter
 	fbRefused *obs.Counter
 	fbForced  *obs.Counter
 
@@ -121,8 +120,6 @@ func newDeviceMetrics() *deviceMetrics {
 		"Bulk blocks by execution engine.", obs.L("engine", "fastpath"))
 	m.interpBlocks = reg.Counter("cobra_device_engine_blocks_total",
 		"Bulk blocks by execution engine.", obs.L("engine", "interpreter"))
-	m.fbDirty = reg.Counter("cobra_device_fastpath_fallbacks_total",
-		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "dirty_machine"))
 	m.fbRefused = reg.Counter("cobra_device_fastpath_fallbacks_total",
 		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "compile_refused"))
 	m.fbForced = reg.Counter("cobra_device_fastpath_fallbacks_total",

@@ -169,10 +169,6 @@ func (e *Exec) Fresh() *Exec { return newExec(e.compiled) }
 // Name returns the compiled program's name.
 func (e *Exec) Name() string { return e.src.Name }
 
-// Dirty reports whether the executor holds in-flight state from a previous
-// call (mirrors sim.Machine.Dirty).
-func (e *Exec) Dirty() bool { return e.dirty }
-
 // Reset restores the post-load state: the executor behaves as if the
 // program had just been reloaded on a fresh machine (counters restart at
 // the head segment). EncryptInto calls it when a streaming program is
