@@ -532,7 +532,7 @@ func (r *RCE) Describe() string {
 }
 
 // mode names element e's configured mode, with the operand source of the
-// Boolean and adder elements.
+// Boolean and adder elements and of the multiplier's multiply modes.
 func (cfg *Config) mode(e isa.Elem) string {
 	switch e {
 	case isa.ElemE1:
@@ -550,7 +550,10 @@ func (cfg *Config) mode(e isa.Elem) string {
 	case isa.ElemC:
 		return cfg.C.Mode.String()
 	case isa.ElemD:
-		return cfg.D.Mode.String()
+		if cfg.D.Mode == isa.DSquare {
+			return cfg.D.Mode.String()
+		}
+		return fmt.Sprintf("%s %s", cfg.D.Mode, cfg.D.Operand)
 	case isa.ElemF:
 		return cfg.F.Mode.String()
 	}

@@ -429,15 +429,20 @@ func TestApplyElemRejectsUnknown(t *testing.T) {
 }
 
 func TestDescribeMentionsActiveModes(t *testing.T) {
-	r := New(true)
-	applyElem(t, r, isa.ElemD, isa.DCfg{Mode: isa.DSquare}.Encode())
-	s := r.Describe()
-	if s == "" {
-		t.Fatal("empty description")
-	}
-	for _, sub := range []string{"RCE MUL", "D(SQR)", "OUT"} {
-		if !strings.Contains(s, sub) {
-			t.Errorf("Describe() = %q, missing %q", s, sub)
+	for _, c := range []struct {
+		d    isa.DCfg
+		want string
+	}{
+		{isa.DCfg{Mode: isa.DSquare}, "D(SQR)"},
+		{isa.DCfg{Mode: isa.DMul32, Operand: isa.SrcINA}, "D(MUL32 INA)"},
+	} {
+		r := New(true)
+		applyElem(t, r, isa.ElemD, c.d.Encode())
+		s := r.Describe()
+		for _, sub := range []string{"RCE MUL", c.want, "OUT"} {
+			if !strings.Contains(s, sub) {
+				t.Errorf("Describe() = %q, missing %q", s, sub)
+			}
 		}
 	}
 }
