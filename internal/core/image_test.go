@@ -150,3 +150,50 @@ func TestLoadAllocBudget(t *testing.T) {
 	}
 	t.Logf("same-geometry Load: %.0f allocs/op", allocs)
 }
+
+// TestLoadAcrossGeometriesAllocBudget pins the host cost of a rebind that
+// changes the array geometry: one device alternates Loads of rijndael-10
+// (20 rows) and rc6-20 (40 rows), decrypting a block after each. A device
+// keeps one machine per direction and geometry, so neither the Load nor
+// the decryption engine the next decrypt installs tiles an array: each
+// restores a recording, within 30 heap allocations for the pair once both
+// images have built their decryption code.
+func TestLoadAcrossGeometriesAllocBudget(t *testing.T) {
+	const budget = 30
+	var imgs [2]*Image
+	for i, alg := range []Algorithm{Rijndael, RC6} {
+		d, err := Configure(alg, key, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs[i] = d.Image()
+	}
+	d, err := NewDevice(imgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ct := testCiphertext(1)
+	pt := make([]byte, len(ct))
+	n := 0
+	rebind := func() {
+		n++
+		if err := d.Load(imgs[n%2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DecryptECBInto(ctx, pt, ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each image builds its decryption code on its first decrypt.
+	rebind()
+	rebind()
+	allocs := testing.AllocsPerRun(10, rebind)
+	if got := d.Geometry().Rows; got != 20 && got != 40 {
+		t.Fatalf("device holds %d rows, want 20 or 40", got)
+	}
+	if allocs > budget {
+		t.Errorf("cross-geometry Load and decrypt: %.0f allocs/op, want <= %d", allocs, budget)
+	}
+	t.Logf("cross-geometry Load and decrypt: %.0f allocs/op", allocs)
+}

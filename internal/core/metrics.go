@@ -99,6 +99,10 @@ type deviceMetrics struct {
 	st   [statCount]*obs.Counter
 	snap [statCount]atomic.Int64
 
+	// sim is the observer every machine of the device reports through:
+	// the cobra_sim_* families.
+	sim *sim.Observer
+
 	// info carries the current algorithm as a label (value 1 for the
 	// active algorithm, 0 after a reconfigure away from it), since the
 	// registry's own label set is fixed at creation.
@@ -135,6 +139,7 @@ func newDeviceMetrics() *deviceMetrics {
 	for i := 0; i < statCount; i++ {
 		m.st[i] = reg.Counter(statMetricNames[i], statMetricHelp[i])
 	}
+	m.sim = sim.NewObserver(reg)
 	return m
 }
 

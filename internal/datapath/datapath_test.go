@@ -1,6 +1,8 @@
 package datapath
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -532,5 +534,71 @@ func TestInputWhiteningAppliesToFeedbackToo(t *testing.T) {
 	res := a.Tick(TickInput{})
 	if res.Output[0] != 12 {
 		t.Errorf("feedback whitening: %d, want 12", res.Output[0])
+	}
+}
+
+// TestCopyFromCopiesEveryField sets every kind of array state on src — an
+// element configuration and its chain, a LUT group, a shuffler, the input
+// multiplexor, whitening, a capture port, eRAM words, registers, a hold,
+// the global enable, the playback address and the feedback and output
+// vectors — and copies it onto an array holding other state. The two must
+// be equal field for field, the copy must share nothing with src, and it
+// must allocate nothing. Another geometry and an armed uninit sentinel are
+// refused.
+func TestCopyFromCopiesEveryField(t *testing.T) {
+	src, dst := newArray(t), newArray(t)
+	dst.WriteERAM(2, 1, 9, 0xdead)
+	if err := dst.SetOutEnable(isa.SliceAt(1, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		src.ApplyElem(isa.SliceRow(0), isa.ElemReg, isa.RegCfg{Enabled: true}.Encode()),
+		src.ApplyElem(isa.SliceAt(2, 3), isa.ElemA1, isa.ACfg{Op: isa.AXor, Operand: isa.SrcImm, Imm: 0x1234}.Encode()),
+		src.LoadLUT(isa.SliceAt(3, 0), isa.LUTAddr(false, 2, 5), 0x01020304),
+		src.SetShuffler(1, isa.ShufCfg{High: true, Perm: [8]uint8{7, 6, 5, 4, 3, 2, 1, 0}}),
+		src.SetOutEnable(isa.SliceAt(0, 1), false),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.SetWhitening(isa.WhiteCfg{Col: 1, Mode: isa.WhiteXor, In: true, Key: 0xabc})
+	src.SetCapture(3, isa.CaptureCfg{Enabled: true, Bank: 2, Addr: 40})
+	src.WriteERAM(0, 3, 200, 0x55aa)
+	src.SetInMux(isa.InMuxCfg{Mode: isa.InERAM, Bank: 3, Addr: 199})
+	for i := 0; i < 3; i++ {
+		src.Tick(TickInput{})
+	}
+	if err := src.SetOutEnable(isa.SliceAll(), false); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := dst.CopyFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst, src) {
+		t.Fatal("the copy differs from its source")
+	}
+	if err := dst.ApplyElem(isa.SliceAt(2, 3), isa.ElemA1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if src.RCE(2, 3).Cfg.A1.Imm != 0x1234 {
+		t.Error("configuring the copy reconfigured its source")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = dst.CopyFrom(src) }); allocs != 0 {
+		t.Errorf("CopyFrom allocates %.1f times, want 0", allocs)
+	}
+
+	other, err := New(Geometry{Rows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.CopyFrom(src); !errors.Is(err, ErrGeometryMismatch) {
+		t.Errorf("copy onto 8 rows from 4: %v, want ErrGeometryMismatch", err)
+	}
+	armed := newArray(t)
+	armed.TrackUninit()
+	if err := armed.CopyFrom(src); !errors.Is(err, ErrUninitArmed) {
+		t.Errorf("copy onto an armed sentinel: %v, want ErrUninitArmed", err)
 	}
 }

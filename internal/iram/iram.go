@@ -65,6 +65,16 @@ func (s *Sequencer) LoadInstrs(prog []isa.Instr) error {
 	return s.Load(words)
 }
 
+// CopyFrom makes s run src's loaded program from src's program counter and
+// flag register. The decoded program is shared rather than copied or
+// decoded again: a Sequencer never writes its program, and Load installs a
+// new one.
+//
+//cobra:hotpath
+func (s *Sequencer) CopyFrom(src *Sequencer) {
+	s.prog, s.pc, s.flags = src.prog, src.pc, src.flags
+}
+
 // Reset rewinds the program counter and clears the flag register without
 // disturbing the loaded program.
 func (s *Sequencer) Reset() {

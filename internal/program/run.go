@@ -13,14 +13,44 @@ func NewMachine(p *Program) (*sim.Machine, error) {
 	return sim.New(p.Geometry, p.Window)
 }
 
-// Load installs the program and runs the setup phase up to the idle point
-// (ready flag raised, §3.4), then clears the performance counters so
-// subsequent measurement covers bulk encryption only.
+// Load installs the program and its instruction window and runs the setup
+// phase up to the idle point (ready flag raised, §3.4), then clears the
+// performance counters so subsequent measurement covers bulk encryption
+// only. A machine that nothing observes can restore the program's
+// recording instead (Record).
 func Load(m *sim.Machine, p *Program) error {
+	if err := setup(m, p); err != nil {
+		return err
+	}
+	m.ResetStats()
+	m.MarkClean()
+	return nil
+}
+
+// Record runs the program's setup phase once, on a fresh machine, and
+// returns that machine at the idle point as a recording: a machine
+// restored from it (sim.Machine.Restore) stands where Load leaves a fresh
+// one, with the phase counted as Load counts it, without running the
+// phase again.
+func (p *Program) Record() (*sim.Recording, error) {
+	m, err := NewMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := setup(m, p); err != nil {
+		return nil, err
+	}
+	return sim.NewRecording(m)
+}
+
+// setup installs the program and its window and runs the setup phase to
+// the idle point.
+func setup(m *sim.Machine, p *Program) error {
 	m.Go = false
 	if err := m.LoadProgram(p.Words()); err != nil {
 		return err
 	}
+	m.Window = p.Window
 	reason, err := m.Run(sim.Limits{})
 	if err != nil {
 		return err
@@ -28,8 +58,6 @@ func Load(m *sim.Machine, p *Program) error {
 	if reason != sim.StopWaitGo {
 		return fmt.Errorf("program: setup stopped with %v, want idle at ready", reason)
 	}
-	m.ResetStats()
-	m.MarkClean()
 	return nil
 }
 
@@ -72,7 +100,9 @@ func Run(m *sim.Machine, p *Program, dst, src []bits.Block128, o Opts) (sim.Stat
 		// A streaming program never returns to the idle point, so a used
 		// machine still holds in-flight flush blocks whose outputs would be
 		// misattributed to this call. Reload for a clean pipeline (the
-		// setup phase re-runs; counters restart at zero).
+		// setup phase re-runs; counters restart at zero). A caller that
+		// holds the program's recording restores it before the call
+		// instead, as core.Device does, and never reaches this reload.
 		if err := Load(m, p); err != nil {
 			return sim.Stats{}, err
 		}
