@@ -6,11 +6,12 @@
 // through a Placer (placer.go) that knows which program each worker is
 // bound to. Reconfiguring a device is the expensive operation in this
 // system: like a COBRA part switching ciphers (§1), the worker reloads
-// the tenant's microcode and runs its configuration phase, simulated
-// cycles the paper's agility story pays and host time on the
-// interpreter. Nothing is compiled on a switch — the worker loads the
-// image its tenant compiled once at Open (core.Image) — but the phase
-// remains, so the scheduler's whole job is to amortize it: keep each
+// the tenant's microcode and pays its configuration phase, simulated
+// cycles the paper's agility story counts. On the host a switch is
+// cheap — the worker loads the image its tenant compiled once at Open
+// (core.Image), restoring the phase the image recorded rather than
+// compiling or simulating anything — but the simulated phase remains,
+// so the scheduler's whole job is to amortize it: keep each
 // worker on its bound program as long as there is same-program work,
 // steal same-program work from a sibling's queue before anything else,
 // and only pay a reconfiguration when a genuine backlog (stealBacklog)
@@ -342,8 +343,8 @@ func (p *Pool) execute(w *worker, j *job) error {
 // ensure makes the worker's device hold the tenant's program, loading
 // the tenant's image on a new device (first job on this worker) or on
 // the worker's device (a reconfiguration) as needed. Either way the
-// configuration phase runs and nothing is compiled. Runs on the worker
-// goroutine.
+// image's recorded configuration phase is restored and counted, and
+// nothing is compiled. Runs on the worker goroutine.
 func (p *Pool) ensure(w *worker, tn *Farm) error {
 	if w.dev != nil && w.loadedSet && w.loaded == tn.pk {
 		p.met.affinity.Inc()

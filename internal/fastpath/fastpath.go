@@ -97,6 +97,10 @@ type Source struct {
 	Name string
 	// Words is the packed microcode image.
 	Words []isa.Word
+	// Setup, when non-nil, is Words recorded at the idle point its setup
+	// phase reaches on a fresh machine (program.Program.Record): the
+	// recorder restores it rather than running that phase again.
+	Setup *sim.Recording
 	// Geometry is the array geometry the program targets.
 	Geometry datapath.Geometry
 	// Window is the instruction window size w.

@@ -143,9 +143,9 @@ func (rec *recording) watch(addr int, in isa.Instr) {
 	}
 }
 
-// record loads the program on a scratch machine, runs the setup phase to
-// the idle point, then records a recBlocks-output bulk-encryption run with
-// deterministic inputs.
+// record loads the program on a scratch machine and runs the setup phase
+// to the idle point, or restores src.Setup there, then records a
+// recBlocks-output bulk-encryption run with deterministic inputs.
 func record(src Source) (*recording, error) {
 	if src.Window < 1 {
 		return nil, fmt.Errorf("fastpath: %s: window %d", src.Name, src.Window)
@@ -154,18 +154,24 @@ func record(src Source) (*recording, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Go = false
-	if err := m.LoadProgram(src.Words); err != nil {
-		return nil, err
+	if src.Setup != nil {
+		if err := m.Restore(src.Setup); err != nil {
+			return nil, err
+		}
+	} else {
+		m.Go = false
+		if err := m.LoadProgram(src.Words); err != nil {
+			return nil, err
+		}
+		reason, err := m.Run(sim.Limits{})
+		if err != nil {
+			return nil, err
+		}
+		if reason != sim.StopWaitGo {
+			return nil, fmt.Errorf("%w: %s: setup stopped with %v, want idle at ready", ErrNotSteady, src.Name, reason)
+		}
+		m.ResetStats()
 	}
-	reason, err := m.Run(sim.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	if reason != sim.StopWaitGo {
-		return nil, fmt.Errorf("%w: %s: setup stopped with %v, want idle at ready", ErrNotSteady, src.Name, reason)
-	}
-	m.ResetStats()
 
 	rec := &recording{m: m}
 	rows := src.Geometry.Rows
@@ -184,7 +190,7 @@ func record(src Source) (*recording, error) {
 	m.TickHook = rec.snapshot
 	m.Trace = rec.watch
 	m.Go = true
-	reason, err = m.Run(sim.Limits{StopAfterOutputs: recBlocks})
+	reason, err := m.Run(sim.Limits{StopAfterOutputs: recBlocks})
 	m.TickHook = nil
 	m.Trace = nil
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 // LRU: building it (microcode compile, trace recording and self-check)
 // is the expensive operation, so the server pays it once per distinct
 // configuration, not once per connection. A farm backend's workers then
-// load that image on every switch to the tenant, paying the reload and
-// configuration phase the paper's algorithm-agility story amortizes, but
-// no compile.
+// load that image on every switch to the tenant, counting the
+// configuration phase the paper's algorithm-agility story amortizes
+// (restored from the image's recording), but no compile.
 type backendKey struct {
 	alg    core.Algorithm
 	unroll int
