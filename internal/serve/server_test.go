@@ -274,6 +274,20 @@ func TestServeFarmBackend(t *testing.T) {
 	}
 }
 
+// framesTotal reads the server's cobra_serve_frames_total: the request
+// frames its sessions have taken, each counted as the server starts
+// serving it.
+func framesTotal(t testing.TB, s *serve.Server) int64 {
+	t.Helper()
+	for _, smp := range s.Obs().Gather() {
+		if smp.Name == "cobra_serve_frames_total" {
+			return smp.Value
+		}
+	}
+	t.Fatal("no cobra_serve_frames_total series")
+	return 0
+}
+
 // TestClientConfigureUnrollRange pins the client's range check on the
 // wire's 16-bit unroll field: an out-of-range depth is refused with an
 // error naming it, before any frame reaches the server (it must not wrap
@@ -281,15 +295,6 @@ func TestServeFarmBackend(t *testing.T) {
 func TestClientConfigureUnrollRange(t *testing.T) {
 	s := startServer(t, serve.Options{Backend: "device"})
 	c := dial(t, s)
-	frames := func() int64 {
-		for _, smp := range s.Obs().Gather() {
-			if smp.Name == "cobra_serve_frames_total" {
-				return smp.Value
-			}
-		}
-		t.Fatal("no cobra_serve_frames_total series")
-		return 0
-	}
 	for _, tc := range []struct {
 		unroll int
 		want   uint16 // acknowledged depth; 0: the client must refuse
@@ -301,7 +306,7 @@ func TestClientConfigureUnrollRange(t *testing.T) {
 		{65538, 0},
 	} {
 		t.Run(fmt.Sprint(tc.unroll), func(t *testing.T) {
-			before := frames()
+			before := framesTotal(t, s)
 			ack, err := c.Configure(client.Config{Alg: "rijndael", Key: keyN(3), Unroll: tc.unroll})
 			if tc.want != 0 {
 				if err != nil {
@@ -318,7 +323,7 @@ func TestClientConfigureUnrollRange(t *testing.T) {
 			if !strings.Contains(err.Error(), fmt.Sprint(tc.unroll)) {
 				t.Errorf("error %q does not name unroll %d", err, tc.unroll)
 			}
-			if got := frames(); got != before {
+			if got := framesTotal(t, s); got != before {
 				t.Errorf("refused configure sent %d frame(s)", got-before)
 			}
 		})
@@ -668,7 +673,16 @@ func TestServeDrainInFlightCompletes(t *testing.T) {
 		ct, err := c.Encrypt(serve.ModeCTR, testIV, msg)
 		done <- enc{ct, err}
 	}()
-	time.Sleep(10 * time.Millisecond) // let the request reach the backend
+	// Wait until the session has taken the encrypt frame (its third, after
+	// hello and configure), so Shutdown finds the request in flight rather
+	// than queued: a queued frame may be answered with the drain notice.
+	deadline := time.Now().Add(10 * time.Second)
+	for framesTotal(t, s) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("the encrypt frame never reached the session")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
