@@ -89,11 +89,14 @@ type Config struct {
 	// carries it: a trace not proven to compute the microcode's exact
 	// block stream is refused, and that direction falls back to the
 	// interpreter (FastpathErr reports the encryption trace's verdict).
-	// Off by default — validation costs a few ms to tens of ms per image
-	// (once per trace; devices that Load the image do not validate again),
-	// and the compiler is itself covered by the cobra-vet -equiv corpus
-	// gate — but recommended wherever microcode arrives from outside the
-	// build (cobrad tenants, assembled .casm files).
+	// The proven trace is the object every device loaded from the image
+	// runs. Off by default: validation costs a few ms to tens of ms per
+	// image (once per trace; devices that Load the image do not validate
+	// again). What it adds is a proof of the image's own key-specific
+	// traces, whose folded immediates and whitening keys come from its
+	// key. CI's cobra-vet -builtin -equiv gate proves the same programs
+	// only for its builtin key (ROADMAP item 5), and an assembled .casm
+	// file never reaches a Config: cobra-vet -equiv proves it directly.
 	Validate bool
 }
 

@@ -19,10 +19,10 @@ import (
 // at the same position in the period.
 func proveBands(tr *fastpath.Trace) string {
 	b := tr.Bands
-	if len(b) < 2 || b[0] != 0 || b[len(b)-1] > tr.Rows {
-		return fmt.Sprintf("band layout %v does not start at row 0 and end within %d rows", b, tr.Rows)
+	if len(b) < 2 || b[0] != 0 || b[len(b)-1] != tr.Rows || b[len(b)-2] > tr.Rows {
+		return fmt.Sprintf("band layout %v does not start at row 0 and end at row %d", b, tr.Rows)
 	}
-	for s := 1; s < len(b); s++ {
+	for s := 1; s < len(b)-1; s++ {
 		if b[s] <= b[s-1] {
 			return fmt.Sprintf("band layout %v is not increasing", b)
 		}
@@ -32,7 +32,7 @@ func proveBands(tr *fastpath.Trace) string {
 	if err != nil {
 		return err.Error()
 	}
-	maxN := len(b) - 1 + len(tr.Period)
+	maxN := len(b) - 2 + len(tr.Period)
 	want := make([][datapath.Cols]xid, maxN)
 	for k := range want {
 		if want[k], err = full.nextOutput(); err != nil {

@@ -107,7 +107,9 @@ func (r *Result) String() string {
 }
 
 // Validate proves (or refutes) that the compiled trace tr computes the same
-// block stream as the microcode words it was compiled from.
+// block stream as the microcode words it was compiled from. tr is read,
+// never written; given an executor's own trace (fastpath.Exec.Trace), the
+// verdict covers exactly what that executor and every Fresh one run.
 func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 	start := time.Now()
 	res := &Result{Name: cfg.Name}
@@ -305,7 +307,7 @@ func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 				if res.Reason = proveBands(tr); res.Reason != "" {
 					return res
 				}
-				res.Bands = len(tr.Bands)
+				res.Bands = len(tr.Bands) - 1
 			}
 			res.Proven = true
 			return res

@@ -114,16 +114,13 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 	top, bottom := true, true
 	if w.call > 0 {
 		bands := w.tr.Bands
-		j, depth := w.inCount, len(bands)-1
+		j, depth := w.inCount, len(bands)-2
 		if j >= w.call+depth {
 			// Past the call's last output: the executor has returned.
 			return out, false
 		}
 		lo, hi := max(0, j-w.call+1), min(j, depth)
-		r0 = bands[lo]
-		if hi < depth {
-			r1 = bands[hi+1]
-		}
+		r0, r1 = bands[lo], bands[hi+1]
 		top, bottom = lo == 0, hi == depth
 	}
 	var vec [datapath.Cols]xid
@@ -236,11 +233,11 @@ func (w *fpWalker) stepsExpr(steps []fastpath.TraceStep, x xid, vec *[datapath.C
 		case fastpath.StepSubBlk:
 			x = a.Sub(x, vec[st.Src], bits.Width(st.Aux))
 		case fastpath.StepS8:
-			x = a.S8(x, w.s8id(st.S8))
+			x = a.S8(x, w.s8id(&st.LUT.S8))
 		case fastpath.StepS4:
-			x = a.S4(x, w.s4id(st.S4), uint32(st.Aux))
+			x = a.S4(x, w.s4id(&st.LUT.S4), uint32(st.Aux))
 		case fastpath.StepS8to32:
-			x = a.S8to32(x, w.s8id(st.S8), uint32(st.Aux))
+			x = a.S8to32(x, w.s8id(&st.LUT.S8), uint32(st.Aux))
 		case fastpath.StepMulImm:
 			x = a.Mul(x, a.Const(st.Imm), bits.Width(st.Aux))
 		case fastpath.StepMulBlk:
@@ -365,7 +362,8 @@ func (w *fpWalker) setCarried(ids []xid) {
 	copy(w.fb[:], ids[len(w.reg)*datapath.Cols:])
 }
 
-// traceWhiteExpr applies one compiled whitening operation (cWhite.apply).
+// traceWhiteExpr applies one compiled whitening operation (the executor's
+// TraceWhite.apply).
 func traceWhiteExpr(a *Arena, x xid, wh fastpath.TraceWhite) xid {
 	switch wh.Mode {
 	case isa.WhiteXor:

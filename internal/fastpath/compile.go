@@ -58,57 +58,59 @@ func Compile(src Source) (*Exec, error) {
 			ErrNotSteady, src.Name, last-first)
 	}
 
-	c := &compiled{
-		src:     src,
-		rows:    src.Geometry.Rows,
-		initReg: rec.initReg,
-		initFB:  rec.initFB,
+	tr := &Trace{
+		Name:          src.Name,
+		Rows:          src.Geometry.Rows,
+		Streaming:     src.Streaming,
+		PipelineDepth: src.PipelineDepth,
+		InitReg:       rec.initReg,
+		InitFB:        rec.initFB,
 	}
 	luts := snapshotLUTs(rec)
-	gfCache := make(map[[5]uint8]*gfTab)
-	if c.head, err = c.compileTicks(rec, 0, first+1, luts, gfCache); err != nil {
+	gfCache := make(map[[5]uint8]*[4][256]uint32)
+	if tr.Head, err = compileTicks(src.Name, rec, 0, first+1, luts, gfCache); err != nil {
 		return nil, err
 	}
-	if c.period, err = c.compileTicks(rec, first+1, first+1+plen, luts, gfCache); err != nil {
+	if tr.Period, err = compileTicks(src.Name, rec, first+1, first+1+plen, luts, gfCache); err != nil {
 		return nil, err
 	}
-	if !c.head[len(c.head)-1].emit || countEmits(c.head) != 1 {
+	if !tr.Head[len(tr.Head)-1].Emit || countEmits(tr.Head) != 1 {
 		return nil, fmt.Errorf("%w: %s: head segment does not end at its single output", ErrNotSteady, src.Name)
 	}
-	if countEmits(c.period) == 0 {
+	if countEmits(tr.Period) == 0 {
 		// Unreachable given the suffix held outputs, but it is the
 		// executor's termination guarantee, so assert it.
 		return nil, fmt.Errorf("%w: %s: steady period emits no output", ErrNotSteady, src.Name)
 	}
 
-	c.bands = c.bandLayout()
-	if err := selfCheck(c, rec); err != nil {
+	tr.Bands = bandLayout(tr)
+	if err := selfCheck(tr, src, rec); err != nil {
 		return nil, err
 	}
-	return newExec(c), nil
+	return newExec(tr), nil
 }
 
 // bandLayout derives the pipeline band layout of a streaming trace from
-// its compiled cycles (the conditions are in the package doc): the first
-// row of each of the PipelineDepth+1 bands, then the row count. A trace
-// that does not prove a layout gets nil and evaluates the whole array.
-func (c *compiled) bandLayout() []int {
-	depth := c.src.PipelineDepth
-	if !c.src.Streaming || depth < 1 {
+// its compiled cycles (the conditions are in the package doc), in
+// Trace.Bands' form. A trace that does not prove a layout gets nil and
+// evaluates the whole array.
+func bandLayout(tr *Trace) []int {
+	depth := tr.PipelineDepth
+	if !tr.Streaming || depth < 1 {
 		return nil
 	}
 	var regRows, regs []int
 	enabled := 0
-	for seg, ticks := range [][]cTick{c.head, c.period} {
+	for seg, ticks := range [][]TraceTick{tr.Head, tr.Period} {
 		for i := range ticks {
 			ct := &ticks[i]
-			if !ct.enabled {
+			if !ct.Enabled {
 				continue
 			}
 			// Block j−depth emits at enabled cycle j: the head ends at its
 			// single output, so that is its enabled cycle depth, and every
 			// later enabled cycle emits.
-			if ct.inMode != isa.InExternal || ct.emit != (seg == 1 || enabled == depth) {
+			if ct.InMode != isa.InExternal || ct.Emit != (seg == 1 || enabled == depth) {
 				return nil
 			}
 			enabled++
@@ -121,11 +123,11 @@ func (c *compiled) bandLayout() []int {
 				regRows = slices.Clone(regs)
 			}
 			for _, r := range regs {
-				if r+1 == len(ct.rows) {
+				if r+1 == len(ct.Rows) {
 					continue
 				}
-				for c := range ct.rows[r+1].cells {
-					if ct.rows[r+1].cells[c].insel >= 4 {
+				for c := range ct.Rows[r+1].Cells {
+					if ct.Rows[r+1].Cells[c].Insel >= 4 {
 						return nil
 					}
 				}
@@ -136,21 +138,21 @@ func (c *compiled) bandLayout() []int {
 	for _, r := range regRows {
 		bands = append(bands, r+1)
 	}
-	return append(bands, c.rows)
+	return append(bands, tr.Rows)
 }
 
 // wholeRegRows appends the registered rows of an enabled cycle to regs; ok
 // is false when a row registers only some of its cells or a register
 // holds.
-func wholeRegRows(ct *cTick, regs []int) ([]int, bool) {
-	for r := range ct.rows {
+func wholeRegRows(ct *TraceTick, regs []int) ([]int, bool) {
+	for r := range ct.Rows {
 		n := 0
-		for c := range ct.rows[r].cells {
-			cell := &ct.rows[r].cells[c]
-			if cell.regOnly {
+		for c := range ct.Rows[r].Cells {
+			cell := &ct.Rows[r].Cells[c]
+			if cell.RegOnly {
 				return regs, false
 			}
-			if cell.reg {
+			if cell.Reg {
 				n++
 			}
 		}
@@ -165,10 +167,10 @@ func wholeRegRows(ct *cTick, regs []int) ([]int, bool) {
 	return regs, true
 }
 
-func countEmits(ticks []cTick) int {
+func countEmits(ticks []TraceTick) int {
 	n := 0
 	for i := range ticks {
-		if ticks[i].emit {
+		if ticks[i].Emit {
 			n++
 		}
 	}
@@ -223,23 +225,23 @@ func snapshotLUTs(rec *recording) []*rce.LUTStore {
 // requires bit-identical outputs and counters before the trace is
 // released — the last line of the equivalence proof, and a guard against
 // compiler bugs on programs outside the test matrix. It is the one place
-// that writes c after construction: it tries each layout in turn and
+// that writes tr after construction: it tries each layout in turn and
 // leaves the last, the proven band layout, in place.
-func selfCheck(c *compiled, rec *recording) error {
+func selfCheck(tr *Trace, src Source, rec *recording) error {
 	layouts := [][]int{nil}
-	if c.bands != nil {
-		layouts = append(layouts, c.bands)
+	if tr.Bands != nil {
+		layouts = append(layouts, tr.Bands)
 	}
-	name := c.src.Name
-	in := recordInputs(recBlocks, c.src)
+	name := tr.Name
+	in := recordInputs(recBlocks, src)
 	dst := make([]bits.Block128, recBlocks)
 	got := rec.m.Outputs()
-	for _, c.bands = range layouts {
+	for _, tr.Bands = range layouts {
 		how := "whole-array"
-		if c.bands != nil {
+		if tr.Bands != nil {
 			how = "banded"
 		}
-		st, err := newExec(c).EncryptInto(dst, in[:recBlocks])
+		st, err := newExec(tr).EncryptInto(dst, in[:recBlocks])
 		if err != nil {
 			return fmt.Errorf("%w: %s: %s self-check: %v", ErrNotSteady, name, how, err)
 		}
@@ -256,122 +258,22 @@ func selfCheck(c *compiled, rec *recording) error {
 	return nil
 }
 
-// --- compiled representation ---------------------------------------------------
-
-// step kinds: one per executable element operation, with constant operands
-// (immediates, resolved eRAM reads, amount negation, operand pre-shifts)
-// folded at compile time.
-const (
-	stShlImm uint8 = iota
-	stShrImm
-	stRotlImm
-	stShlVar // amount from low 5 bits of a block, Neg folded via flag
-	stShrVar
-	stRotlVar
-	stXorImm
-	stAndImm
-	stOrImm
-	stXorBlk
-	stAndBlk
-	stOrBlk
-	stAddImm
-	stSubImm
-	stAddBlk
-	stSubBlk
-	stS8
-	stS4
-	stS8to32
-	stMulImm
-	stMulBlk
-	stSquare
-	stGFTab
-)
-
-// gfTab is a compiled F element: per input-byte-position tables carrying
-// that byte's contribution to the whole output word, XOR-combined at run
-// time. Both F modes fold to this form — lane-wise constant multiplication
-// contributes only to its own byte, the circulant MDS multiply to all four
-// — turning the bit-serial, data-dependent GFMul into four table reads.
-type gfTab [4][256]uint32
-
-// step is one compiled element operation of an RCE's chain.
-type step struct {
-	kind  uint8
-	src   uint8  // block index for *Blk/*Var kinds
-	aux   uint8  // shift amount / B-D width / C page or byte select
-	flag  bool   // E: negate amount; A: operand pre-shift is a rotate
-	immER bool   // imm was folded from an eRAM read (key provenance)
-	imm   uint32 // folded immediate operand
-	lut   *rce.LUTStore
-	gf    *gfTab // F element tables
-}
-
-// cCell is one RCE at one cycle.
-type cCell struct {
-	// passthrough: identity configuration, out = vec[col] with no register;
-	// the executor skips the cell entirely.
-	passthrough bool
-	// regOnly: registered and held — out = reg, nothing evaluated.
-	regOnly bool
-	insel   uint8 // 0..3: current row vector block; 4..7: prev-row block−4
-	reg     bool
-	steps   []step
-}
-
-// cRow is one array row at one cycle.
-type cRow struct {
-	shuffle *[16]uint8 // byte shuffler before this row (nil: none/identity)
-	cells   [datapath.Cols]cCell
-}
-
-// cWhite is one column's whitening operation at one stage.
-type cWhite struct {
-	mode isa.WhiteMode
-	key  uint32
-}
-
-func (w cWhite) apply(x uint32) uint32 {
-	switch w.mode {
-	case isa.WhiteXor:
-		return x ^ w.key
-	case isa.WhiteAdd:
-		return x + w.key
-	default:
-		return x
-	}
-}
-
-// cTick is one compiled datapath cycle: the resolved array configuration
-// plus the interpreter counters attributed to the cycle.
-type cTick struct {
-	enabled  bool
-	inMode   isa.InMuxMode
-	eramVec  bits.Block128
-	emit     bool
-	stats    sim.Stats
-	whiteIn  [datapath.Cols]cWhite
-	whiteOut [datapath.Cols]cWhite
-	anyWhite bool
-	rows     []cRow
-}
-
 // compileTicks translates recorded cycles [from, to) into executable form.
-func (c *compiled) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*gfTab) ([]cTick, error) {
-	name := c.src.Name
-	out := make([]cTick, 0, to-from)
+func compileTicks(name string, rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*[4][256]uint32) ([]TraceTick, error) {
+	out := make([]TraceTick, 0, to-from)
 	for t := from; t < to; t++ {
 		s := rec.ticks[t]
 		at := rec.attrib(t)
-		ct := cTick{
-			enabled: s.enabled,
-			inMode:  s.inMode,
-			eramVec: s.eramVec,
-			emit:    at.BlocksOut > 0,
+		ct := TraceTick{
+			Enabled: s.enabled,
+			InMode:  s.inMode,
+			ERAMVec: s.eramVec,
+			Emit:    at.BlocksOut > 0,
 			stats:   at,
 		}
 		if !s.enabled {
 			// Stall cycle: nothing moves; only the counters advance.
-			if at.Advanced != 0 || ct.emit {
+			if at.Advanced != 0 || ct.Emit {
 				return nil, fmt.Errorf("%w: %s: disabled cycle %d advanced", ErrNotSteady, name, t)
 			}
 			out = append(out, ct)
@@ -385,7 +287,7 @@ func (c *compiled) compileTicks(rec *recording, from, to int, luts []*rce.LUTSto
 			return nil, fmt.Errorf("%w: %s: cycle %d consumption disagrees with input mode",
 				ErrNotSteady, name, t)
 		}
-		if ct.emit != (s.flags&isa.FlagDValid != 0) {
+		if ct.Emit != (s.flags&isa.FlagDValid != 0) {
 			return nil, fmt.Errorf("%w: %s: cycle %d emission disagrees with data-valid flag",
 				ErrNotSteady, name, t)
 		}
@@ -393,29 +295,26 @@ func (c *compiled) compileTicks(rec *recording, from, to int, luts []*rce.LUTSto
 			if s.capture[c] {
 				return nil, fmt.Errorf("%w: %s: capture port active at cycle %d", ErrNotSteady, name, t)
 			}
-			w := cWhite{mode: s.white[c].Mode, key: s.white[c].Key}
+			w := TraceWhite{Mode: s.white[c].Mode, Key: s.white[c].Key}
 			if s.white[c].In {
-				ct.whiteIn[c] = w
+				ct.WhiteIn[c] = w
 			} else {
-				ct.whiteOut[c] = w
-			}
-			if w.mode != isa.WhiteOff {
-				ct.anyWhite = true
+				ct.WhiteOut[c] = w
 			}
 		}
 		rows := rec.m.Array.Geometry().Rows
-		ct.rows = make([]cRow, rows)
+		ct.Rows = make([]TraceRow, rows)
 		for r := 0; r < rows; r++ {
 			if r%2 == 1 {
 				perm := s.shuf[r/2]
 				if !identityPerm(&perm) {
 					p := perm
-					ct.rows[r].shuffle = &p
+					ct.Rows[r].Shuffle = &p
 				}
 			}
 			for c := 0; c < datapath.Cols; c++ {
 				idx := r*datapath.Cols + c
-				ct.rows[r].cells[c] = compileCell(s.rces[idx], c, luts[idx], gfCache)
+				ct.Rows[r].Cells[c] = compileCell(s.rces[idx], c, luts[idx], gfCache)
 			}
 		}
 		out = append(out, ct)
@@ -432,18 +331,20 @@ func identityPerm(p *[16]uint8) bool {
 	return true
 }
 
-// gfTables builds (or reuses) the table pair for one F configuration:
-// tab[pos][v] is input byte v at byte position pos contributing to the
-// output word. XORing the four lookups reproduces bits.GFMulWord (lane
-// mode: each byte contributes only to its own lane) and bits.GFMDSColumn
-// (MDS mode: byte col contributes GFMul(v, c[(col-row+4)%4]) to each output
-// row) exactly.
-func gfTables(op rce.Op, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
+// gfTables builds (or reuses) the tables of one F configuration, its
+// compiled form: tab[pos][v] is input byte v at byte position pos
+// contributing to the output word. Both F modes fold to this form — lane-
+// wise constant multiplication contributes only to its own byte, the
+// circulant MDS multiply to all four — turning the bit-serial,
+// data-dependent GFMul into four table reads whose XOR reproduces
+// bits.GFMulWord (lane mode) and bits.GFMDSColumn (MDS mode: byte col
+// contributes GFMul(v, c[(col-row+4)%4]) to each output row) exactly.
+func gfTables(op rce.Op, c [4]uint8, cache map[[5]uint8]*[4][256]uint32) *[4][256]uint32 {
 	key := [5]uint8{uint8(op), c[0], c[1], c[2], c[3]}
 	if t, ok := cache[key]; ok {
 		return t
 	}
-	t := new(gfTab)
+	t := new([4][256]uint32)
 	for pos := 0; pos < 4; pos++ {
 		for v := 0; v < 256; v++ {
 			var word uint32
@@ -464,23 +365,23 @@ func gfTables(op rce.Op, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
 // immKind is the step kind of each shift and Boolean operation with a
 // folded immediate operand; its block- and amount-operand kinds sit at a
 // fixed offset in the step kind list.
-var immKind = [...]uint8{
-	rce.OpShl: stShlImm, rce.OpShr: stShrImm, rce.OpRotl: stRotlImm,
-	rce.OpXor: stXorImm, rce.OpAnd: stAndImm, rce.OpOr: stOrImm,
+var immKind = [...]StepKind{
+	rce.OpShl: StepShlImm, rce.OpShr: StepShrImm, rce.OpRotl: StepRotlImm,
+	rce.OpXor: StepXorImm, rce.OpAnd: StepAndImm, rce.OpOr: StepOrImm,
 }
 
 // compileCell translates one RCE's per-cycle configuration into its step
 // list, walking its decoded chain and folding everything constant: the
-// immediates, the eRAM reads (immER marks a value folded from one: it is
+// immediates, the eRAM reads (ImmER marks a value folded from one: it is
 // key-schedule material, a provenance the side-channel analyzer in
 // package sca needs after the fold erases the INER source), E amount
 // negation and A operand pre-shifts.
-func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*gfTab) cCell {
+func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*[4][256]uint32) TraceCell {
 	ch := rce.Decode(&rs.cfg, datapath.MulColumn(col))
-	cell := cCell{reg: rs.cfg.Reg.Enabled, insel: uint8(datapath.Tap(col, ch.Insel))}
-	if cell.reg && rs.hold {
+	cell := TraceCell{Reg: rs.cfg.Reg.Enabled, Insel: uint8(datapath.Tap(col, ch.Insel))}
+	if cell.Reg && rs.hold {
 		// Frozen registered RCE: presents its stored value, latches nothing.
-		cell.regOnly = true
+		cell.RegOnly = true
 		return cell
 	}
 	for _, s := range ch.Steps() {
@@ -497,55 +398,55 @@ func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*g
 		case rce.OpShl, rce.OpShr, rce.OpRotl:
 			kImm := immKind[s.Op]
 			if !isImm {
-				cell.steps = append(cell.steps, step{kind: kImm - stShlImm + stShlVar, src: blk, flag: s.Neg})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: kImm - StepShlImm + StepShlVar, Src: blk, Flag: s.Neg})
 				continue
 			}
 			// A zero rotate is the identity, but a key-sourced amount keeps
 			// its step: the immER provenance must survive for the
 			// side-channel profile.
 			if amt := s.Amount(imm); amt != 0 || s.Op != rce.OpRotl || fromER {
-				cell.steps = append(cell.steps, step{kind: kImm, aux: uint8(amt), immER: fromER})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: kImm, Aux: uint8(amt), ImmER: fromER})
 			}
 		case rce.OpXor, rce.OpAnd, rce.OpOr:
 			kImm := immKind[s.Op]
 			if isImm {
-				cell.steps = append(cell.steps, step{kind: kImm, imm: s.PreShifted(imm), immER: fromER})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: kImm, Imm: s.PreShifted(imm), ImmER: fromER})
 			} else {
-				cell.steps = append(cell.steps, step{
-					kind: kImm - stXorImm + stXorBlk, src: blk, aux: s.Shift & 31, flag: s.Rot,
+				cell.Steps = append(cell.Steps, TraceStep{
+					Kind: kImm - StepXorImm + StepXorBlk, Src: blk, Aux: s.Shift & 31, Flag: s.Rot,
 				})
 			}
 		case rce.OpS8:
-			cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
+			cell.Steps = append(cell.Steps, TraceStep{Kind: StepS8, LUT: lut})
 		case rce.OpS4:
-			cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: s.Sel})
+			cell.Steps = append(cell.Steps, TraceStep{Kind: StepS4, LUT: lut, Aux: s.Sel})
 		case rce.OpS8to32:
-			cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: s.Sel})
+			cell.Steps = append(cell.Steps, TraceStep{Kind: StepS8to32, LUT: lut, Aux: s.Sel})
 		case rce.OpMul:
 			if isImm {
-				cell.steps = append(cell.steps, step{kind: stMulImm, imm: imm, aux: uint8(s.Width), immER: fromER})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: StepMulImm, Imm: imm, Aux: uint8(s.Width), ImmER: fromER})
 			} else {
-				cell.steps = append(cell.steps, step{kind: stMulBlk, src: blk, aux: uint8(s.Width)})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: StepMulBlk, Src: blk, Aux: uint8(s.Width)})
 			}
 		case rce.OpSquare:
-			cell.steps = append(cell.steps, step{kind: stSquare})
+			cell.Steps = append(cell.Steps, TraceStep{Kind: StepSquare})
 		case rce.OpAdd, rce.OpSub:
-			kImm, kBlk := stAddImm, stAddBlk
+			kImm, kBlk := StepAddImm, StepAddBlk
 			if s.Op == rce.OpSub {
-				kImm, kBlk = stSubImm, stSubBlk
+				kImm, kBlk = StepSubImm, StepSubBlk
 			}
 			if isImm {
-				cell.steps = append(cell.steps, step{kind: kImm, imm: imm, aux: uint8(s.Width) & 3, immER: fromER})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: kImm, Imm: imm, Aux: uint8(s.Width) & 3, ImmER: fromER})
 			} else {
-				cell.steps = append(cell.steps, step{kind: kBlk, src: blk, aux: uint8(s.Width) & 3})
+				cell.Steps = append(cell.Steps, TraceStep{Kind: kBlk, Src: blk, Aux: uint8(s.Width) & 3})
 			}
 		case rce.OpGFLanes, rce.OpGFMDS:
-			cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(s.Op, s.Consts, gfCache)})
+			cell.Steps = append(cell.Steps, TraceStep{Kind: StepGFTab, GF: gfTables(s.Op, s.Consts, gfCache)})
 		}
 	}
 
-	if len(cell.steps) == 0 && cell.insel == uint8(col) && !cell.reg {
-		cell.passthrough = true
+	if len(cell.Steps) == 0 && cell.Insel == uint8(col) && !cell.Reg {
+		cell.Passthrough = true
 	}
 	return cell
 }

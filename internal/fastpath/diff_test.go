@@ -3,7 +3,7 @@
 // for every built-in program — each builder at every unroll depth and
 // window — randomized batches run through both engines must produce
 // identical ciphertext and identical sim.Stats counters, including across
-// dirty resumes, reconfiguration, and the interpreter-fallback paths.
+// dirty resumes and reconfiguration.
 package fastpath_test
 
 import (
@@ -274,9 +274,8 @@ func TestDifferentialAliasing(t *testing.T) {
 		if _, err := ex.EncryptInto(sep, in); err != nil {
 			t.Fatal(err)
 		}
-		ex.Reset()
 		alias := append([]bits.Block128(nil), in...)
-		if _, err := ex.EncryptInto(alias, alias); err != nil {
+		if _, err := ex.Fresh().EncryptInto(alias, alias); err != nil {
 			t.Fatal(err)
 		}
 		for i := range sep {
@@ -285,76 +284,6 @@ func TestDifferentialAliasing(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRunFastFallback proves the program-level dispatch: a clean
-// machine routes through the executor, a machine that has interpreted since
-// its load owns the in-flight state and stays on the interpreter, and both
-// histories produce the ciphertext and counters of a pure-interpreter run.
-func TestRunFastFallback(t *testing.T) {
-	key := []byte("0123456789abcdef")
-	p, err := program.BuildRC6(key, 1, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := p.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mMixed, err := program.NewMachine(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mInterp, err := program.NewMachine(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*sim.Machine{mMixed, mInterp} {
-		if err := program.Load(m, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(99))
-	run := func(call int, n int, useFast bool) {
-		in := randomBlocks(rng, n)
-		want := make([]bits.Block128, n)
-		wantStats, err := program.Run(mInterp, p, want, in, program.Opts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]bits.Block128, n)
-		var gotStats sim.Stats
-		if useFast {
-			gotStats, err = program.Run(mMixed, p, got, in, program.Opts{Fast: ex})
-		} else {
-			gotStats, err = program.Run(mMixed, p, got, in, program.Opts{})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("call %d block %d mismatch", call, i)
-			}
-		}
-		if gotStats != wantStats {
-			t.Fatalf("call %d: stats %+v != %+v", call, gotStats, wantStats)
-		}
-	}
-
-	if mMixed.Dirty() {
-		t.Fatal("freshly loaded machine reports dirty")
-	}
-	// Interpret first: the machine turns dirty, so every later
-	// Run call must keep falling back rather than splitting the
-	// stats chain across engines.
-	run(0, 2, false)
-	if !mMixed.Dirty() {
-		t.Fatal("machine clean after interpreting")
-	}
-	run(1, 3, true)
-	run(2, 1, true)
 }
 
 // TestDeviceReconfigureInterleaved drives two core devices — fastpath and

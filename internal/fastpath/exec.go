@@ -20,18 +20,18 @@ import (
 // the package doc).
 //
 //cobra:hotpath
-func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
-	bands := e.bands
+func (e *Exec) runSeg(ticks []TraceTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
+	bands := e.tr.Bands
 	for t := start; t < len(ticks); t++ {
 		ct := &ticks[t]
 		acc.Add(ct.stats)
-		if !ct.enabled {
+		if !ct.Enabled {
 			continue
 		}
 		// Rows [r0, r1) are evaluated. Every enabled cycle of a banded
 		// trace consumes a block, so *inPos is the cycle's index j, and
 		// band s holds block j−s.
-		r0, r1 := 0, len(ct.rows)
+		r0, r1 := 0, len(ct.Rows)
 		top, bottom := true, true
 		if bands != nil {
 			j, depth := *inPos, len(bands)-2
@@ -46,47 +46,47 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 			// from the register row above it.
 			vec = e.reg[r0-1]
 			*inPos++
-		case ct.inMode == isa.InExternal:
+		case ct.InMode == isa.InExternal:
 			vec = in[*inPos]
 			*inPos++
-		case ct.inMode == isa.InFeedback:
+		case ct.InMode == isa.InFeedback:
 			vec = e.fb
 		default:
-			vec = ct.eramVec
+			vec = ct.ERAMVec
 		}
-		if top && ct.anyWhite {
+		if top {
 			for c := 0; c < datapath.Cols; c++ {
-				vec[c] = ct.whiteIn[c].apply(vec[c])
+				vec[c] = ct.WhiteIn[c].apply(vec[c])
 			}
 		}
 
 		prev := vec
 		for r := r0; r < r1; r++ {
-			row := &ct.rows[r]
-			if row.shuffle != nil {
-				vec = shuffleBytes(vec, row.shuffle)
+			row := &ct.Rows[r]
+			if row.Shuffle != nil {
+				vec = shuffleBytes(vec, row.Shuffle)
 			}
 			rowIn := vec
 			var out bits.Block128
 			regRow := &e.reg[r]
 			for c := 0; c < datapath.Cols; c++ {
-				cell := &row.cells[c]
-				if cell.passthrough {
+				cell := &row.Cells[c]
+				if cell.Passthrough {
 					out[c] = vec[c]
 					continue
 				}
-				if cell.regOnly {
+				if cell.RegOnly {
 					out[c] = regRow[c]
 					continue
 				}
 				var x uint32
-				if cell.insel < 4 {
-					x = vec[cell.insel]
+				if cell.Insel < 4 {
+					x = vec[cell.Insel]
 				} else {
-					x = prev[cell.insel-4]
+					x = prev[cell.Insel-4]
 				}
-				x = evalSteps(cell.steps, x, &vec)
-				if cell.reg {
+				x = evalSteps(cell.Steps, x, &vec)
+				if cell.Reg {
 					// In-place swap is safe: regRow[c] is read only by this
 					// cell within the cycle.
 					out[c] = regRow[c]
@@ -103,13 +103,11 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 			// Band depth holds no block of the call yet: nothing emits.
 			continue
 		}
-		if ct.anyWhite {
-			for c := 0; c < datapath.Cols; c++ {
-				vec[c] = ct.whiteOut[c].apply(vec[c])
-			}
+		for c := 0; c < datapath.Cols; c++ {
+			vec[c] = ct.WhiteOut[c].apply(vec[c])
 		}
 		e.fb = vec
-		if ct.emit {
+		if ct.Emit {
 			dst[*outPos] = vec
 			*outPos++
 			if *outPos == want {
@@ -123,69 +121,69 @@ func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, 
 // evalSteps runs one RCE's compiled element chain.
 //
 //cobra:hotpath
-func evalSteps(steps []step, x uint32, vec *bits.Block128) uint32 {
+func evalSteps(steps []TraceStep, x uint32, vec *bits.Block128) uint32 {
 	for i := range steps {
 		st := &steps[i]
-		switch st.kind {
-		case stXorImm:
-			x ^= st.imm
-		case stXorBlk:
-			x ^= preShift(vec[st.src], st.aux, st.flag)
-		case stAddImm:
-			x = bits.AddMod(x, st.imm, bits.Width(st.aux))
-		case stAddBlk:
-			x = bits.AddMod(x, vec[st.src], bits.Width(st.aux))
-		case stRotlImm:
-			x = bits.RotL(x, uint(st.aux))
-		case stRotlVar:
-			x = bits.RotL(x, varAmt(vec[st.src], st.flag))
-		case stShlImm:
-			x = bits.Shl(x, uint(st.aux))
-		case stShrImm:
-			x = bits.Shr(x, uint(st.aux))
-		case stShlVar:
-			x = bits.Shl(x, varAmt(vec[st.src], st.flag))
-		case stShrVar:
-			x = bits.Shr(x, varAmt(vec[st.src], st.flag))
-		case stAndImm:
-			x &= st.imm
-		case stAndBlk:
-			x &= preShift(vec[st.src], st.aux, st.flag)
-		case stOrImm:
-			x |= st.imm
-		case stOrBlk:
-			x |= preShift(vec[st.src], st.aux, st.flag)
-		case stSubImm:
-			x = bits.SubMod(x, st.imm, bits.Width(st.aux))
-		case stSubBlk:
-			x = bits.SubMod(x, vec[st.src], bits.Width(st.aux))
-		case stS8:
-			t := &st.lut.S8
+		switch st.Kind {
+		case StepXorImm:
+			x ^= st.Imm
+		case StepXorBlk:
+			x ^= preShift(vec[st.Src], st.Aux, st.Flag)
+		case StepAddImm:
+			x = bits.AddMod(x, st.Imm, bits.Width(st.Aux))
+		case StepAddBlk:
+			x = bits.AddMod(x, vec[st.Src], bits.Width(st.Aux))
+		case StepRotlImm:
+			x = bits.RotL(x, uint(st.Aux))
+		case StepRotlVar:
+			x = bits.RotL(x, varAmt(vec[st.Src], st.Flag))
+		case StepShlImm:
+			x = bits.Shl(x, uint(st.Aux))
+		case StepShrImm:
+			x = bits.Shr(x, uint(st.Aux))
+		case StepShlVar:
+			x = bits.Shl(x, varAmt(vec[st.Src], st.Flag))
+		case StepShrVar:
+			x = bits.Shr(x, varAmt(vec[st.Src], st.Flag))
+		case StepAndImm:
+			x &= st.Imm
+		case StepAndBlk:
+			x &= preShift(vec[st.Src], st.Aux, st.Flag)
+		case StepOrImm:
+			x |= st.Imm
+		case StepOrBlk:
+			x |= preShift(vec[st.Src], st.Aux, st.Flag)
+		case StepSubImm:
+			x = bits.SubMod(x, st.Imm, bits.Width(st.Aux))
+		case StepSubBlk:
+			x = bits.SubMod(x, vec[st.Src], bits.Width(st.Aux))
+		case StepS8:
+			t := &st.LUT.S8
 			x = uint32(t[0][uint8(x)]) |
 				uint32(t[1][uint8(x>>8)])<<8 |
 				uint32(t[2][uint8(x>>16)])<<16 |
 				uint32(t[3][uint8(x>>24)])<<24
-		case stS4:
-			base := uint32(st.aux) * 16
-			t := &st.lut.S4
+		case StepS4:
+			base := uint32(st.Aux) * 16
+			t := &st.LUT.S4
 			var out uint32
 			for lane := 0; lane < 8; lane++ {
 				n := x >> (4 * uint(lane)) & 0xf
 				out |= uint32(t[lane/2][base+n]&0xf) << (4 * uint(lane))
 			}
 			x = out
-		case stS8to32:
-			b := uint8(x >> (8 * uint(st.aux)))
-			t := &st.lut.S8
+		case StepS8to32:
+			b := uint8(x >> (8 * uint(st.Aux)))
+			t := &st.LUT.S8
 			x = uint32(t[0][b]) | uint32(t[1][b])<<8 | uint32(t[2][b])<<16 | uint32(t[3][b])<<24
-		case stMulImm:
-			x = bits.MulMod(x, st.imm, bits.Width(st.aux))
-		case stMulBlk:
-			x = bits.MulMod(x, vec[st.src], bits.Width(st.aux))
-		case stSquare:
+		case StepMulImm:
+			x = bits.MulMod(x, st.Imm, bits.Width(st.Aux))
+		case StepMulBlk:
+			x = bits.MulMod(x, vec[st.Src], bits.Width(st.Aux))
+		case StepSquare:
 			x = bits.SquareMod32(x)
-		case stGFTab:
-			t := st.gf
+		case StepGFTab:
+			t := st.GF
 			x = t[0][x&0xff] ^ t[1][x>>8&0xff] ^ t[2][x>>16&0xff] ^ t[3][x>>24]
 		}
 	}

@@ -25,11 +25,18 @@
 //
 // Programs that break the preconditions — eRAM writes, LUT loads or capture
 // ports active during bulk encryption, key-request handshakes, aperiodic
-// output cadence — are refused by Compile; callers fall back to the
-// interpreter (program.Run with Opts.Fast automates this). As a final guard,
-// Compile replays the recorded inputs through the freshly compiled trace,
-// on the whole array and on its band layout (below), and requires
-// bit-identical outputs and counters before returning it.
+// output cadence — are refused by Compile; callers run them on the
+// interpreter, as core.Device does for a direction without a trace. As a
+// final guard, Compile replays the recorded inputs through the freshly
+// compiled trace, on the whole array and on its band layout (below), and
+// requires bit-identical outputs and counters before returning it.
+//
+// # One IR
+//
+// The compiled program is a Trace, declared once and exported. The
+// executor runs it as is and Exec.Trace returns that same object, read-only
+// and shared by every executor over it, so package equiv's proof, package
+// sca's profile and core's Config.Validate gate cover what a device runs.
 //
 // # Cycle accounting
 //
@@ -112,33 +119,14 @@ type Source struct {
 	PipelineDepth int
 }
 
-// compiled is the immutable half of an executor: the compiled trace of
-// one program. Compile builds it and never changes it afterwards, so any
-// number of executors on any goroutines may read it at once.
-type compiled struct {
-	src Source
-
-	head   []cTick // load-to-first-output cycle stream (ends at its output)
-	period []cTick // steady repeating cycle stream (≥1 output per period)
-
-	rows int
-
-	// bands is the pipeline band layout of a streaming trace: the first
-	// row of each band, then the row count. Nil: whole-array evaluation.
-	bands []int
-
-	initReg [][datapath.Cols]uint32
-	initFB  bits.Block128
-}
-
-// Exec is a compiled steady-state trace plus the mutable data state of one
-// device (pipeline registers, feedback, resume point). The trace is shared
-// and immutable; the data state is the executor's own. Like the machine it
+// Exec runs a compiled Trace with the mutable data state of one device
+// (pipeline registers, feedback, resume point). The trace is shared and
+// read-only; the data state is the executor's own. Like the machine it
 // replaces, an Exec is not safe for concurrent use: Fresh makes another
 // executor over the same trace for another device or goroutine
 // (internal/farm's workers each run their own).
 type Exec struct {
-	*compiled
+	tr *Trace
 
 	reg   [][datapath.Cols]uint32
 	fb    bits.Block128
@@ -156,10 +144,10 @@ type Exec struct {
 	inBuf []bits.Block128
 }
 
-// newExec returns an executor over c in the post-load state.
-func newExec(c *compiled) *Exec {
-	e := &Exec{compiled: c, reg: make([][datapath.Cols]uint32, c.rows)}
-	e.Reset()
+// newExec returns an executor over tr in the post-load state.
+func newExec(tr *Trace) *Exec {
+	e := &Exec{tr: tr, reg: make([][datapath.Cols]uint32, tr.Rows)}
+	e.reset()
 	return e
 }
 
@@ -168,19 +156,16 @@ func newExec(c *compiled) *Exec {
 // own goroutine, and neither call history shows in the other's output.
 // This is how a device reloads microcode compiled earlier without
 // compiling it again.
-func (e *Exec) Fresh() *Exec { return newExec(e.compiled) }
+func (e *Exec) Fresh() *Exec { return newExec(e.tr) }
 
-// Name returns the compiled program's name.
-func (e *Exec) Name() string { return e.src.Name }
-
-// Reset restores the post-load state: the executor behaves as if the
+// reset restores the post-load state: the executor behaves as if the
 // program had just been reloaded on a fresh machine (counters restart at
 // the head segment). EncryptInto calls it when a streaming program is
 // dirty, as the interpreter reloads one per call; a device that reloads
 // microcode takes a Fresh executor instead.
-func (e *Exec) Reset() {
-	copy(e.reg, e.initReg)
-	e.fb = e.initFB
+func (e *Exec) reset() {
+	copy(e.reg, e.tr.InitReg)
+	e.fb = e.tr.InitFB
 	e.dirty = false
 	e.periodPos = 0
 }
@@ -201,9 +186,10 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 	// evaluate the whole array) before writing any output, preserving the
 	// interpreter's aliasing contract. A banded trace never reads a flush
 	// block, so it stages none.
+	tr := e.tr
 	need := n
-	if e.src.Streaming && e.bands == nil {
-		need += e.src.PipelineDepth + 1
+	if tr.Streaming && tr.Bands == nil {
+		need += tr.PipelineDepth + 1
 	}
 	if cap(e.inBuf) < need {
 		e.inBuf = make([]bits.Block128, need)
@@ -214,21 +200,21 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 		in[i] = bits.Block128{}
 	}
 
-	if e.dirty && e.src.Streaming {
+	if e.dirty && tr.Streaming {
 		// Streaming reload: the interpreter reloads for a clean pipeline;
 		// the executor equivalently restarts from the post-load state.
-		e.Reset()
+		e.reset()
 	}
 	var stats sim.Stats
 	inPos, outPos := 0, 0
 	if !e.dirty {
 		// The head segment ends exactly at its single output (checked at
 		// compile time), so it never overruns n ≥ 1.
-		e.runSeg(e.head, 0, in, &inPos, dst, n, &outPos, &stats)
+		e.runSeg(tr.Head, 0, in, &inPos, dst, n, &outPos, &stats)
 	}
 	for outPos < n {
-		stop := e.runSeg(e.period, e.periodPos, in, &inPos, dst, n, &outPos, &stats)
-		e.periodPos = stop % len(e.period)
+		stop := e.runSeg(tr.Period, e.periodPos, in, &inPos, dst, n, &outPos, &stats)
+		e.periodPos = stop % len(tr.Period)
 	}
 	e.dirty = true
 	return stats, nil

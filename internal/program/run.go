@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cobra/internal/bits"
-	"cobra/internal/fastpath"
 	"cobra/internal/sim"
 )
 
@@ -61,22 +60,18 @@ func setup(m *sim.Machine, p *Program) error {
 	return nil
 }
 
-// Opts configures a Run call. The zero value selects the cycle-accurate
-// interpreter with default behavior.
-type Opts struct {
-	// Fast, when non-nil, routes the call through the trace-compiled
-	// executor (Program.Compile) as long as the machine is clean. A
-	// machine that has interpreted since its last load owns the in-flight
-	// stats chain, so a dirty machine stays on the interpreter rather than
-	// splitting one measurement across two engines. Nil always interprets.
-	Fast *fastpath.Exec
-}
+// Opts configures a Run call. It has no fields: Run always interprets,
+// and a caller that wants the compiled trace calls its executor
+// (Program.Compile, fastpath.Exec.EncryptInto) directly. It stays only
+// for the call sites that still pass Opts{}; ROADMAP item 6 or 10 deletes
+// it along with them.
+type Opts struct{}
 
 // Run is the bulk-encryption entry point: it streams src blocks through
-// the loaded machine (or the compiled executor, see Opts.Fast) into dst
-// and returns the simulator counters for exactly this call. dst must hold
-// at least len(src) blocks and may alias src (inputs are staged before
-// any output is written back).
+// the loaded machine's cycle-accurate interpreter into dst and returns the
+// simulator counters for exactly this call. dst must hold at least
+// len(src) blocks and may alias src (inputs are staged before any output
+// is written back).
 //
 // For streaming (full-unroll, non-feedback) programs pipeline-flush
 // blocks are appended so the final outputs drain, mirroring §4.1's
@@ -86,15 +81,12 @@ type Opts struct {
 // the full post-reload counters for streaming programs — so repeated
 // calls on one machine measure independently, and the fastpath engine
 // reproduces the interpreter's counters exactly.
-func Run(m *sim.Machine, p *Program, dst, src []bits.Block128, o Opts) (sim.Stats, error) {
+func Run(m *sim.Machine, p *Program, dst, src []bits.Block128, _ Opts) (sim.Stats, error) {
 	if len(src) == 0 {
 		return sim.Stats{}, nil
 	}
 	if len(dst) < len(src) {
 		return sim.Stats{}, fmt.Errorf("program: dst holds %d blocks, need %d", len(dst), len(src))
-	}
-	if o.Fast != nil && !m.Dirty() {
-		return o.Fast.EncryptInto(dst, src)
 	}
 	if p.Streaming && m.Dirty() {
 		// A streaming program never returns to the idle point, so a used

@@ -6,6 +6,7 @@ import (
 
 	"cobra/internal/dataflow"
 	"cobra/internal/fastpath"
+	"cobra/internal/rce"
 	"cobra/internal/sca"
 	"cobra/internal/vet"
 )
@@ -125,7 +126,9 @@ func TestCheckConstantTimeKeyedSkipsFastpath(t *testing.T) {
 }
 
 // mutateTrace compiles the program and hands the trace to mut for seeded
-// corruption, then returns the microcode/fastpath differential.
+// corruption, then returns the microcode/fastpath differential. The trace
+// is the one its executor runs, but that executor is private to this
+// call, so mut may corrupt it in place.
 func mutateTrace(t *testing.T, p *Program, mut func(tr *fastpath.Trace)) []vet.Finding {
 	t.Helper()
 	ex, err := p.Compile()
@@ -206,7 +209,7 @@ func TestSeededDefectExtraTableRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s8 [4][256]uint8
+	var lut rce.LUTStore
 	findings := mutateTrace(t, p, func(tr *fastpath.Trace) {
 		tick := &tr.Period[0]
 		for ti := range tr.Period {
@@ -217,7 +220,7 @@ func TestSeededDefectExtraTableRead(t *testing.T) {
 		}
 		cell := &tick.Rows[0].Cells[0]
 		cell.Passthrough = false
-		cell.Steps = append(cell.Steps, fastpath.TraceStep{Kind: fastpath.StepS8, S8: &s8})
+		cell.Steps = append(cell.Steps, fastpath.TraceStep{Kind: fastpath.StepS8, LUT: &lut})
 	})
 	requireMismatch(t, findings)
 }

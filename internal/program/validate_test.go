@@ -79,10 +79,10 @@ func TestValidateRefusesKeyHandshake(t *testing.T) {
 	}
 }
 
-// validateMutated compiles p, exports a fresh trace (Trace() deep-copies
-// everything except the lookup tables, which mutators must copy before
-// corrupting — they are shared with the live executor), applies the
-// mutation, and validates the corrupted trace against the true microcode.
+// validateMutated compiles p, applies the mutation to the compiled trace in
+// place, and validates the corrupted trace against the true microcode. The
+// trace is the one its executor runs, but each call compiles a private
+// executor, so no other test or device sees the mutation.
 func validateMutated(t *testing.T, p *Program, mutate func(tr *fastpath.Trace) bool) *equiv.Result {
 	t.Helper()
 	ex, err := p.Compile()
@@ -173,9 +173,10 @@ func TestSeededDefectWrongElision(t *testing.T) {
 }
 
 // TestSeededDefectCorruptedTTable corrupts one lane of a compiled GF(2^8)
-// contribution table (on a copy — the original is shared with the live
-// executor) and requires rejection with a witness computed through the
-// corrupted entries, exactly as the executor would compute them.
+// contribution table (on a copy — the original is shared with every step
+// of the same configuration) and requires rejection with a witness
+// computed through the corrupted entries, exactly as the executor would
+// compute them.
 func TestSeededDefectCorruptedTTable(t *testing.T) {
 	p, err := BuildRijndael(validationKey(), 1)
 	if err != nil {
@@ -210,9 +211,9 @@ func TestSeededDefectCorruptedTTable(t *testing.T) {
 
 // TestSeededDefectBandLayout corrupts rijndael-10's band layout and
 // requires the validator to refuse it, naming the call length and what
-// failed: every band boundary moved one row up, so each band after the
-// first starts below a row that holds no register, and the output band
-// dropped, so the walk stops before its block emerges.
+// failed: every band start after the first moved one row up, so each band
+// after the first starts below a row that holds no register, and the
+// output band dropped, so the walk stops before its block emerges.
 func TestSeededDefectBandLayout(t *testing.T) {
 	p, err := BuildRijndael(validationKey(), 10)
 	if err != nil {
@@ -224,12 +225,12 @@ func TestSeededDefectBandLayout(t *testing.T) {
 		reason string
 	}{
 		{"shifted", func(b []int) []int {
-			for s := 1; s < len(b); s++ {
+			for s := 1; s < len(b)-1; s++ {
 				b[s]--
 			}
 			return b
 		}, "band layout fails on a 1-block call: output 0 col 0 differs from the full array's\n  banded: v"},
-		{"truncated", func(b []int) []int { return b[:len(b)-1] }, "band layout fails on a 1-block call: "},
+		{"truncated", func(b []int) []int { return append(b[:len(b)-2], b[len(b)-1]) }, "band layout fails on a 1-block call: "},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := validateMutated(t, p, func(tr *fastpath.Trace) bool {

@@ -13,7 +13,8 @@ import (
 const tracePassCap = 4096
 
 // AnalyzeTrace builds the side-channel profile of a compiled fastpath
-// trace by abstract interpretation of the op-list IR over the same
+// trace, the op list the executor itself runs (fastpath.Exec.Trace; read,
+// never written), by abstract interpretation of that IR over the same
 // {key, plaintext} lattice the microcode walk uses: external input words
 // are plaintext, resolved eRAM playback words and immediates folded from
 // eRAM reads (TraceStep.ImmER) are key material, whitening stages join key
