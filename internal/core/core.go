@@ -555,9 +555,9 @@ func (d *Device) ecbInto(ctx context.Context, decrypt bool, dst, src []byte) (si
 // chaining dependency serializes the device — one block in flight — which
 // is exactly the feedback-mode penalty of the paper's Table 1 (FB vs NFB
 // columns): a full-length pipeline degrades to its fill+drain latency per
-// block. That latency is in simulated cycles (Report); the fastpath's
-// 1-block call evaluates only the pipeline band its block occupies, so
-// host time does not pay it again. iv must be one block (16 bytes). The
+// block. That latency is in simulated cycles (Report); the fastpath runs a
+// 1-block call's block through the trace's batch form once, every row in
+// order, so host time does not pay it again. iv must be one block (16 bytes). The
 // context is checked between blocks, so a long chained message can be
 // abandoned mid-stream.
 func (d *Device) EncryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {

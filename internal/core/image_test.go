@@ -39,8 +39,8 @@ func fiveModes(d *Device, iv, msg []byte) ([5][]byte, error) {
 // compiled exactly once: the encryption trace by Configure, the
 // decryption trace by whichever device decrypted first, and the other
 // device installs each. Under -race this shows the shared traces are only
-// read. The configurations are a banded streaming trace (rijndael-10)
-// and an iterative one (rc6-2).
+// read. The configurations are a streaming trace with a batch form
+// (rijndael-10) and an iterative one (rc6-2).
 func TestImageSharedAcrossDevices(t *testing.T) {
 	iv := bytes.Repeat([]byte{0x6c}, 16)
 	msg := testCiphertext(11)

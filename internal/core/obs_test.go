@@ -301,7 +301,7 @@ func TestEncryptCTRIntoAllocFree(t *testing.T) {
 }
 
 // TestEncryptCBCIntoAllocFree extends the gate to CBC encryption: a chain
-// of 1-block calls on the streaming trace's band layout, which allocates
+// of 1-block calls on the streaming trace's batch form, which allocates
 // nothing once the device is warm.
 func TestEncryptCBCIntoAllocFree(t *testing.T) {
 	d, err := Configure(Rijndael, key, Config{})

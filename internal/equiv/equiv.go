@@ -68,10 +68,10 @@ type Mismatch struct {
 type Result struct {
 	Name    string
 	Proven  bool
-	Outputs int // boundaries compared before closure
-	Inputs  int // input blocks consumed before closure
-	Nodes   int // arena size at the end of the run
-	Bands   int // proven pipeline bands (0: whole-array evaluation)
+	Outputs int  // boundaries compared before closure
+	Inputs  int  // input blocks consumed before closure
+	Nodes   int  // arena size at the end of the run
+	Batch   bool // the trace's batch form is proven too
 	Reason  string
 	Mism    *Mismatch
 	Wall    time.Duration
@@ -89,12 +89,12 @@ func (r *Result) Err() error {
 // own lines.
 func (r *Result) String() string {
 	if r.Proven {
-		bands := ""
-		if r.Bands > 0 {
-			bands = fmt.Sprintf(", %d bands", r.Bands)
+		batch := ""
+		if r.Batch {
+			batch = ", batch form"
 		}
 		return fmt.Sprintf("%s: proven equivalent (%d outputs, %d inputs, %d nodes%s, %v)",
-			r.Name, r.Outputs, r.Inputs, r.Nodes, bands, r.Wall.Round(time.Microsecond))
+			r.Name, r.Outputs, r.Inputs, r.Nodes, batch, r.Wall.Round(time.Microsecond))
 	}
 	s := fmt.Sprintf("%s: NOT proven: %s", r.Name, r.Reason)
 	if m := r.Mism; m != nil {
@@ -303,11 +303,11 @@ func Validate(words []isa.Word, cfg Config, tr *fastpath.Trace) *Result {
 			}
 		}
 		if stable {
-			if tr.Bands != nil {
-				if res.Reason = proveBands(tr); res.Reason != "" {
+			if tr.Batch != nil {
+				if res.Reason, res.Mism = proveBatch(tr); res.Reason != "" {
 					return res
 				}
-				res.Bands = len(tr.Bands) - 1
+				res.Batch = true
 			}
 			res.Proven = true
 			return res

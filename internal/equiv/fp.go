@@ -41,11 +41,6 @@ type fpWalker struct {
 	reg     [][datapath.Cols]xid
 	fb      [datapath.Cols]xid
 
-	// call > 0 walks one call of that many blocks on the trace's band
-	// layout, evaluating only its live bands as the executor does; 0 walks
-	// the whole array, the continuous stream.
-	call int
-
 	s8ids map[*[4][256]uint8]uint32
 	s4ids map[*[4][128]uint8]uint32
 	gfs   map[*[4][256]uint32]gfRec
@@ -110,45 +105,43 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 		return out, false
 	}
 	a := w.a
-	r0, r1 := 0, len(ct.Rows)
-	top, bottom := true, true
-	if w.call > 0 {
-		bands := w.tr.Bands
-		j, depth := w.inCount, len(bands)-2
-		if j >= w.call+depth {
-			// Past the call's last output: the executor has returned.
-			return out, false
-		}
-		lo, hi := max(0, j-w.call+1), min(j, depth)
-		r0, r1 = bands[lo], bands[hi+1]
-		top, bottom = lo == 0, hi == depth
-	}
 	var vec [datapath.Cols]xid
-	switch {
-	case !top:
-		vec = w.reg[r0-1]
-		w.inCount++
-	case ct.InMode == isa.InExternal:
+	switch ct.InMode {
+	case isa.InExternal:
 		for c := 0; c < datapath.Cols; c++ {
 			vec[c] = a.Input(w.inCount, c)
 		}
 		w.inCount++
-	case ct.InMode == isa.InFeedback:
+	case isa.InFeedback:
 		vec = w.fb
 	default:
 		for c := 0; c < datapath.Cols; c++ {
 			vec[c] = a.Const(ct.ERAMVec[c])
 		}
 	}
-	if top {
-		for c := 0; c < datapath.Cols; c++ {
-			vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteIn[c])
-		}
+	for c := 0; c < datapath.Cols; c++ {
+		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteIn[c])
 	}
+	vec = w.rows(ct.Rows, vec, true)
+	for c := 0; c < datapath.Cols; c++ {
+		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteOut[c])
+	}
+	w.fb = vec
+	return vec, ct.Emit
+}
 
+// rows passes a row vector through a compiled row list, as the
+// executor's evalRows does. With cycle set it mirrors one cycle of
+// Exec.runSeg: a registered cell presents its stored value and stores the
+// new one. Without, it mirrors one block's pass through the batch form
+// (batchRows, or evalRows without registers for a batch of one): a
+// registered cell passes on its own value, and the walker's registers are
+// neither read nor written.
+func (w *fpWalker) rows(rows []fastpath.TraceRow, vec [datapath.Cols]xid, cycle bool) [datapath.Cols]xid {
+	a := w.a
 	prev := vec
-	for r := r0; r < r1; r++ {
-		row := &ct.Rows[r]
+	for r := range rows {
+		row := &rows[r]
 		if row.Shuffle != nil {
 			vec = symShuffle(a, vec, row.Shuffle)
 		}
@@ -160,7 +153,7 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 				next[c] = vec[c]
 				continue
 			}
-			if cell.RegOnly {
+			if cell.RegOnly && cycle {
 				next[c] = w.reg[r][c]
 				continue
 			}
@@ -171,7 +164,7 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 				x = prev[cell.Insel-4]
 			}
 			x = w.stepsExpr(cell.Steps, x, &vec)
-			if cell.Reg {
+			if cell.Reg && cycle {
 				// Mirrors the executor's in-place swap: reg[r][c] is read
 				// only by this cell within the cycle.
 				next[c] = w.reg[r][c]
@@ -183,15 +176,7 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 		vec = next
 		prev = rowIn
 	}
-
-	if !bottom {
-		return out, false
-	}
-	for c := 0; c < datapath.Cols; c++ {
-		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteOut[c])
-	}
-	w.fb = vec
-	return vec, ct.Emit
+	return vec
 }
 
 // stepsExpr mirrors evalSteps: one compiled element chain over expressions.

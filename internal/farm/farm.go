@@ -53,8 +53,9 @@ var ErrClosed = errors.New("farm: closed")
 // messages therefore split into several jobs per worker, which keeps the
 // queue busy (pipelining across shards) at the cost of one pipeline
 // fill-and-drain per shard on streaming configurations. That cost is in
-// simulated cycles only: the fastpath evaluates just the pipeline bands a
-// shard's blocks occupy, so its host time does not pay the fill and drain.
+// simulated cycles only: the fastpath runs a shard's blocks through its
+// trace's batch form, each once, so its host time does not pay the fill
+// and drain.
 const defaultShardBlocks = 1024
 
 // WorkerQueueDepth is the per-worker queue capacity; dispatch blocks
@@ -427,7 +428,7 @@ func (f *Farm) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 // onto one worker, and throughput degrades to a single device's
 // fill+drain-per-block rate exactly as the paper's Table 1 FB column
 // predicts. That rate is in simulated cycles; on the fastpath a 1-block
-// call evaluates only the band its block occupies, so the host does not
+// call runs its block through the batch form once, so the host does not
 // pay the fill and drain a second time. The farm still provides it so the
 // unified Cipher surface is mode-complete on every backend.
 func (f *Farm) EncryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cobra/internal/core"
+	"cobra/internal/program"
 )
 
 // benchConfigs are the architecture points the fastpath-vs-interpreter
@@ -60,12 +61,30 @@ func benchECB(b *testing.B, interp bool) {
 	}
 }
 
+// bulkBlocks is the largest request of cobradbench's bulk workload (64
+// KiB), which the fastpath CTR benchmark also times on each full unroll.
+const bulkBlocks = 4096
+
 func benchCTR(b *testing.B, interp bool) {
 	iv := make([]byte, 16)
+	type ctrCase struct {
+		alg            core.Algorithm
+		unroll, blocks int
+		name           string
+	}
+	var cases []ctrCase
 	for _, c := range benchConfigs {
-		b.Run(fmt.Sprintf("%s-unroll%d", c.alg, c.unroll), func(b *testing.B) {
+		cases = append(cases, ctrCase{c.alg, c.unroll, benchBlocks, fmt.Sprintf("%s-unroll%d", c.alg, c.unroll)})
+	}
+	for _, c := range benchConfigs {
+		if c.unroll == 0 && !interp {
+			cases = append(cases, ctrCase{c.alg, c.unroll, bulkBlocks, fmt.Sprintf("%s-unroll%d-%dblocks", c.alg, c.unroll, bulkBlocks)})
+		}
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			d := benchDevice(b, c.alg, c.unroll, interp)
-			src := make([]byte, 16*benchBlocks)
+			src := make([]byte, 16*c.blocks)
 			dst := make([]byte, len(src))
 			b.SetBytes(int64(len(src)))
 			b.ResetTimer()
@@ -93,6 +112,33 @@ func benchCBC(b *testing.B, interp bool) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.EncryptCBCInto(context.Background(), dst, iv, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompile times one trace compile (program.Compile: vet, the
+// recording, the tick compiler and the self-check) of the full unrolls
+// the bulk workload serves, and serpent's, the largest.
+func BenchmarkCompile(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() (*program.Program, error)
+	}{
+		{"rijndael-10", func() (*program.Program, error) { return program.BuildRijndael(benchKey(), 10) }},
+		{"rc6-20", func() (*program.Program, error) { return program.BuildRC6(benchKey(), 20, 20) }},
+		{"serpent-32", func() (*program.Program, error) { return program.BuildSerpent(benchKey(), 32) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Compile(); err != nil {
 					b.Fatal(err)
 				}
 			}

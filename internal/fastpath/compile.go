@@ -66,12 +66,12 @@ func Compile(src Source) (*Exec, error) {
 		InitReg:       rec.initReg,
 		InitFB:        rec.initFB,
 	}
-	luts := snapshotLUTs(rec)
-	gfCache := make(map[[5]uint8]*[4][256]uint32)
-	if tr.Head, err = compileTicks(src.Name, rec, 0, first+1, luts, gfCache); err != nil {
+	tc := &tickCompiler{name: src.Name, rec: rec, luts: snapshotLUTs(rec),
+		gfCache: make(map[[5]uint8]*[4][256]uint32)}
+	if tr.Head, err = tc.compile(0, first+1); err != nil {
 		return nil, err
 	}
-	if tr.Period, err = compileTicks(src.Name, rec, first+1, first+1+plen, luts, gfCache); err != nil {
+	if tr.Period, err = tc.compile(first+1, first+1+plen); err != nil {
 		return nil, err
 	}
 	if !tr.Head[len(tr.Head)-1].Emit || countEmits(tr.Head) != 1 {
@@ -83,23 +83,24 @@ func Compile(src Source) (*Exec, error) {
 		return nil, fmt.Errorf("%w: %s: steady period emits no output", ErrNotSteady, src.Name)
 	}
 
-	tr.Bands = bandLayout(tr)
+	if tc.configs == 1 {
+		tr.Batch = batchForm(tr)
+	}
 	if err := selfCheck(tr, src, rec); err != nil {
 		return nil, err
 	}
 	return newExec(tr), nil
 }
 
-// bandLayout derives the pipeline band layout of a streaming trace from
-// its compiled cycles (the conditions are in the package doc), in
-// Trace.Bands' form. A trace that does not prove a layout gets nil and
-// evaluates the whole array.
-func bandLayout(tr *Trace) []int {
+// batchForm returns the batch form of a streaming trace whose enabled
+// cycles all run one row list, or nil when the trace does not meet the
+// rest of the conditions in the package doc.
+func batchForm(tr *Trace) *TraceBatch {
 	depth := tr.PipelineDepth
 	if !tr.Streaming || depth < 1 {
 		return nil
 	}
-	var regRows, regs []int
+	var b *TraceBatch
 	enabled := 0
 	for seg, ticks := range [][]TraceTick{tr.Head, tr.Period} {
 		for i := range ticks {
@@ -114,43 +115,23 @@ func bandLayout(tr *Trace) []int {
 				return nil
 			}
 			enabled++
-			var ok bool
-			regs, ok = wholeRegRows(ct, regs[:0])
-			if !ok || len(regs) != depth || (regRows != nil && !slices.Equal(regs, regRows)) {
+			if b == nil {
+				b = &TraceBatch{WhiteIn: ct.WhiteIn, WhiteOut: ct.WhiteOut, Rows: ct.Rows}
+			} else if ct.WhiteIn != b.WhiteIn || ct.WhiteOut != b.WhiteOut {
 				return nil
-			}
-			if regRows == nil {
-				regRows = slices.Clone(regs)
-			}
-			for _, r := range regs {
-				if r+1 == len(ct.Rows) {
-					continue
-				}
-				for c := range ct.Rows[r+1].Cells {
-					if ct.Rows[r+1].Cells[c].Insel >= 4 {
-						return nil
-					}
-				}
 			}
 		}
 	}
-	bands := make([]int, 1, depth+2)
-	for _, r := range regRows {
-		bands = append(bands, r+1)
+	if b == nil {
+		return nil
 	}
-	return append(bands, tr.Rows)
-}
-
-// wholeRegRows appends the registered rows of an enabled cycle to regs; ok
-// is false when a row registers only some of its cells or a register
-// holds.
-func wholeRegRows(ct *TraceTick, regs []int) ([]int, bool) {
-	for r := range ct.Rows {
+	regRows := 0
+	for r := range b.Rows {
 		n := 0
-		for c := range ct.Rows[r].Cells {
-			cell := &ct.Rows[r].Cells[c]
+		for c := range b.Rows[r].Cells {
+			cell := &b.Rows[r].Cells[c]
 			if cell.RegOnly {
-				return regs, false
+				return nil
 			}
 			if cell.Reg {
 				n++
@@ -158,13 +139,25 @@ func wholeRegRows(ct *TraceTick, regs []int) ([]int, bool) {
 		}
 		switch n {
 		case 0:
+			continue
 		case datapath.Cols:
-			regs = append(regs, r)
+			regRows++
 		default:
-			return regs, false
+			return nil
+		}
+		if r+1 == len(b.Rows) {
+			continue
+		}
+		for c := range b.Rows[r+1].Cells {
+			if b.Rows[r+1].Cells[c].Insel >= 4 {
+				return nil
+			}
 		}
 	}
-	return regs, true
+	if regRows != depth {
+		return nil
+	}
+	return b
 }
 
 func countEmits(ticks []TraceTick) int {
@@ -221,25 +214,28 @@ func snapshotLUTs(rec *recording) []*rce.LUTStore {
 }
 
 // selfCheck replays the recorded inputs through the freshly compiled trace,
-// on the whole array and then on its band layout if it has one, and
+// on the whole array and then on its batch form if it has one, and
 // requires bit-identical outputs and counters before the trace is
 // released — the last line of the equivalence proof, and a guard against
-// compiler bugs on programs outside the test matrix. It is the one place
-// that writes tr after construction: it tries each layout in turn and
-// leaves the last, the proven band layout, in place.
+// compiler bugs on programs outside the test matrix. On the batch form a
+// 1-block call must reproduce the first output too: blocks do not
+// interact there, and one block takes the scalar chain rather than the
+// op-major loops. selfCheck is the one place that writes tr after
+// construction: it tries each form in turn and leaves the last, the proven
+// batch form, in place.
 func selfCheck(tr *Trace, src Source, rec *recording) error {
-	layouts := [][]int{nil}
-	if tr.Bands != nil {
-		layouts = append(layouts, tr.Bands)
+	forms := []*TraceBatch{nil}
+	if tr.Batch != nil {
+		forms = append(forms, tr.Batch)
 	}
 	name := tr.Name
 	in := recordInputs(recBlocks, src)
 	dst := make([]bits.Block128, recBlocks)
 	got := rec.m.Outputs()
-	for _, tr.Bands = range layouts {
+	for _, tr.Batch = range forms {
 		how := "whole-array"
-		if tr.Bands != nil {
-			how = "banded"
+		if tr.Batch != nil {
+			how = "batch"
 		}
 		st, err := newExec(tr).EncryptInto(dst, in[:recBlocks])
 		if err != nil {
@@ -254,12 +250,34 @@ func selfCheck(tr *Trace, src Source, rec *recording) error {
 				return fmt.Errorf("%w: %s: %s self-check output %d mismatch", ErrNotSteady, name, how, i)
 			}
 		}
+		if tr.Batch == nil {
+			continue
+		}
+		if _, err := newExec(tr).EncryptInto(dst[:1], in[:1]); err != nil || dst[0] != got[0] {
+			return fmt.Errorf("%w: %s: batch self-check of a 1-block call: output mismatch (%v)", ErrNotSteady, name, err)
+		}
 	}
 	return nil
 }
 
-// compileTicks translates recorded cycles [from, to) into executable form.
-func compileTicks(name string, rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*[4][256]uint32) ([]TraceTick, error) {
+// tickCompiler translates recorded cycles into executable form. It
+// compiles each array configuration once: an enabled cycle whose recorded
+// RCE snapshots and shufflers equal those of the last compiled enabled
+// cycle takes that cycle's rows, the same slice.
+type tickCompiler struct {
+	name    string
+	rec     *recording
+	luts    []*rce.LUTStore
+	gfCache map[[5]uint8]*[4][256]uint32
+
+	last    *tickSnap  // the last compiled enabled cycle
+	rows    []TraceRow // its rows
+	configs int        // distinct row lists compiled
+}
+
+// compile translates recorded cycles [from, to).
+func (tc *tickCompiler) compile(from, to int) ([]TraceTick, error) {
+	name, rec := tc.name, tc.rec
 	out := make([]TraceTick, 0, to-from)
 	for t := from; t < to; t++ {
 		s := rec.ticks[t]
@@ -302,24 +320,40 @@ func compileTicks(name string, rec *recording, from, to int, luts []*rce.LUTStor
 				ct.WhiteOut[c] = w
 			}
 		}
-		rows := rec.m.Array.Geometry().Rows
-		ct.Rows = make([]TraceRow, rows)
-		for r := 0; r < rows; r++ {
-			if r%2 == 1 {
-				perm := s.shuf[r/2]
-				if !identityPerm(&perm) {
-					p := perm
-					ct.Rows[r].Shuffle = &p
-				}
-			}
-			for c := 0; c < datapath.Cols; c++ {
-				idx := r*datapath.Cols + c
-				ct.Rows[r].Cells[c] = compileCell(s.rces[idx], c, luts[idx], gfCache)
-			}
+		if tc.last == nil || !sameArray(s, tc.last) {
+			tc.rows = tc.compileRows(s)
+			tc.configs++
 		}
+		tc.last = s
+		ct.Rows = tc.rows
 		out = append(out, ct)
 	}
 	return out, nil
+}
+
+// sameArray reports whether two cycle snapshots hold the same array
+// configuration: every RCE's control state and every shuffler.
+func sameArray(a, b *tickSnap) bool {
+	return slices.Equal(a.rces, b.rces) && slices.Equal(a.shuf, b.shuf)
+}
+
+// compileRows translates one cycle's array configuration.
+func (tc *tickCompiler) compileRows(s *tickSnap) []TraceRow {
+	rows := make([]TraceRow, tc.rec.m.Array.Geometry().Rows)
+	for r := range rows {
+		if r%2 == 1 {
+			perm := s.shuf[r/2]
+			if !identityPerm(&perm) {
+				p := perm
+				rows[r].Shuffle = &p
+			}
+		}
+		for c := 0; c < datapath.Cols; c++ {
+			idx := r*datapath.Cols + c
+			rows[r].Cells[c] = compileCell(s.rces[idx], c, tc.luts[idx], tc.gfCache)
+		}
+	}
+	return rows
 }
 
 func identityPerm(p *[16]uint8) bool {

@@ -83,9 +83,10 @@ func randomBlocks(rng *rand.Rand, n int) []bits.Block128 {
 // batch sizes deliberately mix single blocks with longer runs so iterative
 // programs resume mid-epilogue and streaming programs hit the
 // reload-per-call path and mid-period resume points. Streaming programs
-// then take calls that straddle their pipeline depth: fill and drain
+// then take calls that straddle their pipeline depth (fill and drain
 // overlapping, meeting, and separated by a steady state in which every
-// band is live.
+// stage holds a block) and, on a batch form, calls that straddle one and
+// two batches.
 func TestDifferentialAllBuilders(t *testing.T) {
 	for _, c := range allBuilders() {
 		c := c
@@ -108,8 +109,8 @@ func TestDifferentialAllBuilders(t *testing.T) {
 			}
 
 			sizes := []int{1, 3, 1, 7, 2, 5, 1, 1, 4}
-			if d := p.PipelineDepth; p.Streaming {
-				sizes = append(sizes, d-1, d, d+1, d+2, 2*d+3)
+			if d, b := p.PipelineDepth, fastpath.BatchBlocks; p.Streaming {
+				sizes = append(sizes, d-1, d, d+1, d+2, 2*d+3, b-1, b, b+1, 2*b+d+3)
 			}
 			rng := rand.New(rand.NewSource(0xc0b2a))
 			for call, n := range sizes {
@@ -177,11 +178,12 @@ func (l *sharedLane) call(rng *rand.Rand, n int) error {
 // counts, so one is dirty (or mid-period) whenever the other starts a
 // call, and then run on two goroutines at once. Every call must match its
 // interpreter exactly: neither executor's dirty flag, resume point,
-// registers or staging buffer shows in the other's output, and under
-// -race the concurrent half shows that the shared trace is only read.
-// The programs are banded streaming traces (rijndael-10, rc6-20), a
-// streaming trace evaluated on the whole array (tea-32) and an iterative
-// one (rc6-2), whose calls leave the executor dirty to resume on the next.
+// registers, staging buffer or batch buffers show in the other's output,
+// and under -race the concurrent half shows that the shared trace is only
+// read. The programs are streaming traces with a batch form (rijndael-10,
+// rc6-20), a streaming trace run on the whole array (tea-32) and an
+// iterative one (rc6-2), whose calls leave the executor dirty to resume on
+// the next.
 // The streaming traces emit twice per period, so their odd-length calls
 // stop mid-period; no iterative builtin emits more than once per period,
 // so rc6-2's calls stop at a period's end.
@@ -214,9 +216,9 @@ func TestDifferentialSharedTrace(t *testing.T) {
 				lanes[i] = &sharedLane{p: p, m: m, ex: x}
 			}
 			sizes := [2][]int{{1, 3, 1, 7, 2, 5}, {2, 1, 5, 1, 4, 3}}
-			if d := p.PipelineDepth; p.Streaming {
-				sizes[0] = append(sizes[0], d+1, 1, 2*d+3)
-				sizes[1] = append(sizes[1], 1, d-1, d)
+			if d, b := p.PipelineDepth, fastpath.BatchBlocks; p.Streaming {
+				sizes[0] = append(sizes[0], d+1, 1, 2*d+3, b+1)
+				sizes[1] = append(sizes[1], 1, d-1, d, 2*b+3)
 			}
 			rng := rand.New(rand.NewSource(0x5a4ed))
 			for call := range sizes[0] {
@@ -253,7 +255,7 @@ func TestDifferentialSharedTrace(t *testing.T) {
 // TestDifferentialAliasing verifies the executor honors EncryptInto's
 // aliasing contract (dst may be the same slice as blocks), which the bulk
 // byte paths rely on for in-place conversion, on an iterative program and
-// on a streaming one's band layout.
+// on a streaming one's batch form, over more than one batch.
 func TestDifferentialAliasing(t *testing.T) {
 	key := make([]byte, 16)
 	for _, build := range []func() (*program.Program, error){
@@ -269,7 +271,7 @@ func TestDifferentialAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(7))
-		in := randomBlocks(rng, 13)
+		in := randomBlocks(rng, fastpath.BatchBlocks+13)
 		sep := make([]bits.Block128, len(in))
 		if _, err := ex.EncryptInto(sep, in); err != nil {
 			t.Fatal(err)

@@ -8,101 +8,39 @@ import (
 )
 
 // runSeg replays a compiled cycle segment from index start: the executor's
-// inner loop. Each cycle's attributed counters are accumulated into acc, so
-// the total matches the interpreter's delta for the same stretch. The
-// segment stops immediately after the cycle that emits the want-th output —
-// exactly where the interpreter's run would stop — and returns the index
-// one past the last executed cycle (len(ticks) when it ran to the end).
-// Stall cycles only move counters; enabled cycles move one 128-bit vector
-// down the array exactly as datapath.Tick would, but with every
-// configuration decision pre-resolved. On a banded trace an enabled cycle
-// evaluates only the bands that hold one of the call's want blocks (see
-// the package doc).
+// inner loop on a trace without a batch form. Each cycle's attributed
+// counters are accumulated into acc, so the total matches the
+// interpreter's delta for the same stretch. The segment stops immediately
+// after the cycle that emits the want-th output — exactly where the
+// interpreter's run would stop — and returns the index one past the last
+// executed cycle (len(ticks) when it ran to the end). Stall cycles only
+// move counters; enabled cycles move one 128-bit vector down the whole
+// array exactly as datapath.Tick would, but with every configuration
+// decision pre-resolved.
 //
 //cobra:hotpath
 func (e *Exec) runSeg(ticks []TraceTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
-	bands := e.tr.Bands
 	for t := start; t < len(ticks); t++ {
 		ct := &ticks[t]
 		acc.Add(ct.stats)
 		if !ct.Enabled {
 			continue
 		}
-		// Rows [r0, r1) are evaluated. Every enabled cycle of a banded
-		// trace consumes a block, so *inPos is the cycle's index j, and
-		// band s holds block j−s.
-		r0, r1 := 0, len(ct.Rows)
-		top, bottom := true, true
-		if bands != nil {
-			j, depth := *inPos, len(bands)-2
-			lo, hi := max(0, j-want+1), min(j, depth)
-			r0, r1 = bands[lo], bands[hi+1]
-			top, bottom = lo == 0, hi == depth
-		}
 		var vec bits.Block128
-		switch {
-		case !top:
-			// Band 0 would take a flush block; the first live band starts
-			// from the register row above it.
-			vec = e.reg[r0-1]
-			*inPos++
-		case ct.InMode == isa.InExternal:
+		switch ct.InMode {
+		case isa.InExternal:
 			vec = in[*inPos]
 			*inPos++
-		case ct.InMode == isa.InFeedback:
+		case isa.InFeedback:
 			vec = e.fb
 		default:
 			vec = ct.ERAMVec
 		}
-		if top {
-			for c := 0; c < datapath.Cols; c++ {
-				vec[c] = ct.WhiteIn[c].apply(vec[c])
-			}
+		for c := 0; c < datapath.Cols; c++ {
+			vec[c] = ct.WhiteIn[c].apply(vec[c])
 		}
 
-		prev := vec
-		for r := r0; r < r1; r++ {
-			row := &ct.Rows[r]
-			if row.Shuffle != nil {
-				vec = shuffleBytes(vec, row.Shuffle)
-			}
-			rowIn := vec
-			var out bits.Block128
-			regRow := &e.reg[r]
-			for c := 0; c < datapath.Cols; c++ {
-				cell := &row.Cells[c]
-				if cell.Passthrough {
-					out[c] = vec[c]
-					continue
-				}
-				if cell.RegOnly {
-					out[c] = regRow[c]
-					continue
-				}
-				var x uint32
-				if cell.Insel < 4 {
-					x = vec[cell.Insel]
-				} else {
-					x = prev[cell.Insel-4]
-				}
-				x = evalSteps(cell.Steps, x, &vec)
-				if cell.Reg {
-					// In-place swap is safe: regRow[c] is read only by this
-					// cell within the cycle.
-					out[c] = regRow[c]
-					regRow[c] = x
-				} else {
-					out[c] = x
-				}
-			}
-			vec = out
-			prev = rowIn
-		}
-
-		if !bottom {
-			// Band depth holds no block of the call yet: nothing emits.
-			continue
-		}
+		vec = evalRows(ct.Rows, vec, e.reg)
 		for c := 0; c < datapath.Cols; c++ {
 			vec[c] = ct.WhiteOut[c].apply(vec[c])
 		}
@@ -116,6 +54,58 @@ func (e *Exec) runSeg(ticks []TraceTick, start int, in []bits.Block128, inPos *i
 		}
 	}
 	return len(ticks)
+}
+
+// evalRows moves one row vector down a compiled row list, as
+// datapath.Tick would. Given the executor's registers, a registered cell
+// presents its stored value and stores the new one: one cycle of runSeg.
+// Given nil, it passes on its own value: one block's pass through the
+// batch form, which runBatch takes for a batch of one.
+//
+//cobra:hotpath
+func evalRows(rows []TraceRow, vec bits.Block128, reg [][datapath.Cols]uint32) bits.Block128 {
+	prev := vec
+	for r := range rows {
+		row := &rows[r]
+		if row.Shuffle != nil {
+			vec = shuffleBytes(vec, row.Shuffle)
+		}
+		rowIn := vec
+		var out bits.Block128
+		var regRow *[datapath.Cols]uint32
+		if reg != nil {
+			regRow = &reg[r]
+		}
+		for c := 0; c < datapath.Cols; c++ {
+			cell := &row.Cells[c]
+			if cell.Passthrough {
+				out[c] = vec[c]
+				continue
+			}
+			if cell.RegOnly && regRow != nil {
+				out[c] = regRow[c]
+				continue
+			}
+			var x uint32
+			if cell.Insel < 4 {
+				x = vec[cell.Insel]
+			} else {
+				x = prev[cell.Insel-4]
+			}
+			x = evalSteps(cell.Steps, x, &vec)
+			if cell.Reg && regRow != nil {
+				// In-place swap is safe: regRow[c] is read only by this
+				// cell within the cycle.
+				out[c] = regRow[c]
+				regRow[c] = x
+			} else {
+				out[c] = x
+			}
+		}
+		vec = out
+		prev = rowIn
+	}
+	return vec
 }
 
 // evalSteps runs one RCE's compiled element chain.
@@ -164,14 +154,8 @@ func evalSteps(steps []TraceStep, x uint32, vec *bits.Block128) uint32 {
 				uint32(t[2][uint8(x>>16)])<<16 |
 				uint32(t[3][uint8(x>>24)])<<24
 		case StepS4:
-			base := uint32(st.Aux) * 16
-			t := &st.LUT.S4
-			var out uint32
-			for lane := 0; lane < 8; lane++ {
-				n := x >> (4 * uint(lane)) & 0xf
-				out |= uint32(t[lane/2][base+n]&0xf) << (4 * uint(lane))
-			}
-			x = out
+			t := s4Page(st)
+			x = s4Half(t[0], t[1], x) | s4Half(t[2], t[3], x>>16)<<16
 		case StepS8to32:
 			b := uint8(x >> (8 * uint(st.Aux)))
 			t := &st.LUT.S8
@@ -188,6 +172,27 @@ func evalSteps(steps []TraceStep, x uint32, vec *bits.Block128) uint32 {
 		}
 	}
 	return x
+}
+
+// s4Page returns the 16-entry page of each of an S4 step's four tables
+// that its Aux selects; nibble lanes 2b and 2b+1 of a word read table b.
+//
+//cobra:hotpath
+func s4Page(st *TraceStep) [4]*[16]uint8 {
+	base := 16 * int(st.Aux)
+	t := &st.LUT.S4
+	return [4]*[16]uint8{(*[16]uint8)(t[0][base:]), (*[16]uint8)(t[1][base:]),
+		(*[16]uint8)(t[2][base:]), (*[16]uint8)(t[3][base:])}
+}
+
+// s4Half substitutes the four nibble lanes of x's low half word, the low
+// two through page t0 and the high two through t1, keeping the low four
+// bits of each entry. An S4 step is two of these (s4Page).
+//
+//cobra:hotpath
+func s4Half(t0, t1 *[16]uint8, x uint32) uint32 {
+	return uint32(t0[x&0xf]&0xf) | uint32(t0[x>>4&0xf]&0xf)<<4 |
+		uint32(t1[x>>8&0xf]&0xf)<<8 | uint32(t1[x>>12&0xf]&0xf)<<12
 }
 
 // varAmt extracts a data-dependent shift amount: the low five bits of the

@@ -28,7 +28,7 @@
 // output cadence — are refused by Compile; callers run them on the
 // interpreter, as core.Device does for a direction without a trace. As a
 // final guard, Compile replays the recorded inputs through the freshly
-// compiled trace, on the whole array and on its band layout (below), and
+// compiled trace, on the whole array and on its batch form (below), and
 // requires bit-identical outputs and counters before returning it.
 //
 // # One IR
@@ -58,24 +58,25 @@
 //
 // The counters are simulated cycles: a streaming call still pays its full
 // pipeline fill and drain in sim.Stats. Host time need not pay it twice.
-// Compile gives a streaming trace a pipeline band layout when its compiled
-// cycles prove one: every enabled cycle consumes an external block; the
-// registered rows are whole rows, PipelineDepth of them, at the same
-// positions on every enabled cycle, and none is held; no cell of the row
-// after a register row reads the previous row's input; and block j−depth
-// is emitted at enabled cycle j, nothing before. Band s is the run of rows
-// that ends at the s-th register row (band depth is the rows below the
-// last one, possibly none), and it holds block j−s at enabled cycle j.
-// Under those conditions a band's cycle reads nothing from another band
-// but the register row above it, which band s−1 wrote on the previous
-// cycle with the previous stage of the same block. So a call of n blocks
-// evaluates, on enabled cycle j, only bands max(0, j−n+1)..min(j, depth):
-// the ones holding one of its blocks. Dead bands hold flush blocks or the
-// reload state, which no output of the call reads, and flush blocks are
-// never staged. A cycle on which every band is live runs the whole array,
-// and counters are added on every cycle, live or not. The set of evaluated
-// cells depends only on the call's block count, never on data or key.
-// Package equiv proves the layout for every call length.
+// Compile gives a streaming trace a batch form when its compiled cycles
+// prove one: every enabled cycle runs one array configuration (the same
+// rows and whitening) and consumes an external block; the registered rows
+// are whole rows, PipelineDepth of them, and none is held; no cell of the
+// row after a register row reads the previous row's input; and block
+// j−depth is emitted at enabled cycle j, nothing before. Band s, the run of
+// rows that ends at the s-th register row, then holds block j−s at enabled
+// cycle j and reads nothing from another band but the register row above
+// it, which band s−1 wrote on the previous cycle with the same block. So
+// blocks do not interact, and one block's output is its input whitened in,
+// passed through every row once with each registered cell passing on the
+// block's own value, and whitened out. The executor computes a call that
+// way, op-major: each step of each cell runs over a batch of up to
+// batchBlocks blocks in one loop, row by row, so dispatch is paid once per
+// op per batch rather than per block, and flush blocks are never staged.
+// The call's counters come from its cycles, walked without data from the
+// post-load state every streaming call starts from, so they are what a
+// cycle-wise run adds. Package equiv proves the batch form equal to the
+// cycle-wise trace for every block of every call.
 package fastpath
 
 import (
@@ -142,6 +143,9 @@ type Exec struct {
 	// before any output is written, so dst may alias blocks exactly as in
 	// program.Run.
 	inBuf []bits.Block128
+
+	// cols is the batch form's working set (runBatch).
+	cols batchCols
 }
 
 // newExec returns an executor over tr in the post-load state.
@@ -183,12 +187,12 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 	}
 
 	// Stage the inputs (plus pipeline flush for streaming programs that
-	// evaluate the whole array) before writing any output, preserving the
-	// interpreter's aliasing contract. A banded trace never reads a flush
+	// run their cycles) before writing any output, preserving the
+	// interpreter's aliasing contract. The batch form never reads a flush
 	// block, so it stages none.
 	tr := e.tr
 	need := n
-	if tr.Streaming && tr.Bands == nil {
+	if tr.Streaming && tr.Batch == nil {
 		need += tr.PipelineDepth + 1
 	}
 	if cap(e.inBuf) < need {
@@ -200,6 +204,13 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 		in[i] = bits.Block128{}
 	}
 
+	if tr.Batch != nil {
+		// Every streaming call starts from the post-load state, so the
+		// data state is never read: the batch form computes the outputs
+		// and the cycles only the counters.
+		e.runBatch(dst[:n], in)
+		return tr.callStats(n), nil
+	}
 	if e.dirty && tr.Streaming {
 		// Streaming reload: the interpreter reloads for a clean pipeline;
 		// the executor equivalently restarts from the post-load state.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cobra/internal/bits"
+	"cobra/internal/fastpath"
 	"cobra/internal/program"
 )
 
@@ -13,8 +14,8 @@ import (
 // schedule is key-independent (keys only change eRAM contents), so a key
 // that broke compilation — or diverged — would falsify the steady-state
 // proof. Selectors 0-7 are partial unrolls; 8-12 are full-unroll streaming
-// programs, whose calls reload and run on the pipeline band layout (tea-32
-// has none and evaluates the whole array, the control). Run via
+// programs, whose calls run on the batch form (tea-32 has none and runs
+// its cycles on the whole array, the control). Run via
 // `go test -fuzz=FuzzFastpathVsInterpreter`; CI runs a short smoke.
 func FuzzFastpathVsInterpreter(f *testing.F) {
 	f.Add(uint8(0), []byte("an-example-key-1"), []byte("attack at dawn!!attack at dusk!!"))
@@ -76,10 +77,11 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 
 		// Full blocks only; cap the batch so a large fuzz input doesn't
 		// stall the interpreter side. A streaming call may run past its
-		// pipeline depth, so fill, steady state and drain all occur.
+		// pipeline depth, so fill, steady state and drain all occur, and
+		// past two batches of the batch form.
 		maxBlocks := 8
 		if p.Streaming {
-			maxBlocks = p.PipelineDepth + 3
+			maxBlocks = max(p.PipelineDepth, 2*fastpath.BatchBlocks) + 3
 		}
 		n := len(ptData) / 16
 		if n > maxBlocks {

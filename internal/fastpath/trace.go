@@ -9,34 +9,32 @@ import (
 )
 
 // Trace is a compiled program: the per-cycle op-list IR the executor runs,
-// its initial data state and its pipeline band layout. It is the one form
-// of a compiled program. Every executor over it (Compile's and each Fresh
-// one) runs this object, and Exec.Trace hands out the same object, so the
-// independent checkers — package equiv's translation validator, package
-// sca's side-channel profile, core's Config.Validate gate — read exactly
-// what a device runs. Compile builds it and nothing changes it afterwards:
-// it is read-only, shared by every executor over it and safe to read from
-// any number of goroutines. Per-call data state (registers, feedback,
-// resume point) lives in each Exec, never here.
+// its initial data state and, for a streaming trace that proves one, its
+// batch form.
+// It is the one form of a compiled program. Every executor over it
+// (Compile's and each Fresh one) runs this object, and Exec.Trace hands out
+// the same object, so the independent checkers — package equiv's
+// translation validator, package sca's side-channel profile, core's
+// Config.Validate gate — read exactly what a device runs. Compile builds it
+// and nothing changes it afterwards: it is read-only, shared by every
+// executor over it and safe to read from any number of goroutines.
+// Per-call data state (registers, feedback, resume point) lives in each
+// Exec, never here.
 //
-// On each enabled cycle of a call of n blocks, a banded trace evaluates
-// only the bands max(0, j−n+1)..min(j, PipelineDepth), where j counts the
-// call's enabled cycles, and every other trace the whole array. Which
-// cells a call evaluates therefore depends on its block count alone,
-// never on data or key.
+// A trace with a batch form runs each call on it, a batch of blocks at a
+// time, and takes the call's counters from its cycles; every other trace
+// runs its cycles on the whole array. Which cells a call evaluates
+// therefore depends on its block count alone, never on data or key.
 type Trace struct {
 	Name          string
 	Rows          int
 	Streaming     bool // reload per call, pipeline flush (program.Run)
 	PipelineDepth int  // register stages of a streaming program
 
-	// Bands is the pipeline band layout of a streaming trace: the first
-	// row of each of its PipelineDepth+1 bands, then Rows, so band s is
-	// rows Bands[s] up to Bands[s+1] (the last band may hold none) and
-	// holds block j−s at enabled cycle j. A band after the first starts
-	// from the stored value of the register row above it. Nil: the trace
-	// evaluates the whole array on every enabled cycle.
-	Bands []int
+	// Batch is the batch form of a streaming trace (see the package doc):
+	// the one array configuration all its enabled cycles run. Nil: the
+	// trace runs cycle by cycle on the whole array.
+	Batch *TraceBatch
 
 	InitReg [][datapath.Cols]uint32
 	InitFB  bits.Block128
@@ -54,9 +52,20 @@ type TraceTick struct {
 	Emit     bool
 	WhiteIn  [datapath.Cols]TraceWhite
 	WhiteOut [datapath.Cols]TraceWhite
-	Rows     []TraceRow
+	Rows     []TraceRow // the previous enabled cycle's, when its array configuration is the same
 
 	stats sim.Stats
+}
+
+// TraceBatch is the batch form of a streaming trace. Rows is the
+// row list every enabled cycle of the trace runs, the same slice, and
+// WhiteIn and WhiteOut are those cycles' whitening. One block's output is
+// its input whitened in, passed through every row once, in order, with each
+// registered cell passing on the block's own value, and whitened out.
+type TraceBatch struct {
+	WhiteIn  [datapath.Cols]TraceWhite
+	WhiteOut [datapath.Cols]TraceWhite
+	Rows     []TraceRow
 }
 
 // TraceWhite is one column's whitening operation at one stage.

@@ -13,11 +13,11 @@ import (
 
 // TestTraceIsWhatRuns pins the one-IR contract: Exec.Trace is the object
 // the executor runs, shared by every Fresh executor, not a copy of it. It
-// flips one bit of an immediate in a period cycle of rc6-20's trace, in
-// the last band that holds rows, which a call's last blocks pass through
-// on period cycles. Both the executor that compiled it and a Fresh one
-// must then diverge from the interpreter on the same 6 blocks, and the
-// translation validator must refuse the trace they ran.
+// flips one bit of an immediate in a period cycle of rc6-20's trace, whose
+// enabled cycles and batch form share one row list. Both the executor that
+// compiled it and a Fresh one must then diverge from the interpreter on
+// the same 6 blocks, and the translation validator must refuse the trace
+// they ran.
 func TestTraceIsWhatRuns(t *testing.T) {
 	p, err := program.BuildRC6([]byte("one-compiled-ir!"), 20, 20)
 	if err != nil {
@@ -32,18 +32,14 @@ func TestTraceIsWhatRuns(t *testing.T) {
 	if fresh.Trace() != tr || ex.Trace() != tr {
 		t.Fatal("executors of one compile hand out different traces")
 	}
-	if !p.Streaming || tr.Bands == nil {
-		t.Fatal("rc6-20 has no band layout")
+	if !p.Streaming || tr.Batch == nil {
+		t.Fatal("rc6-20 has no batch form")
 	}
 
-	band := len(tr.Bands) - 2
-	for tr.Bands[band] == tr.Rows {
-		band-- // the output band holds no rows when the last row registers
-	}
 	var flip *fastpath.TraceStep
 find:
 	for ti := range tr.Period {
-		for r := tr.Bands[band]; r < tr.Bands[band+1]; r++ {
+		for r := range tr.Period[ti].Rows {
 			for _, cell := range tr.Period[ti].Rows[r].Cells {
 				if i := slices.IndexFunc(cell.Steps, func(st fastpath.TraceStep) bool {
 					return st.Kind == fastpath.StepXorImm || st.Kind == fastpath.StepAddImm
@@ -55,7 +51,7 @@ find:
 		}
 	}
 	if flip == nil {
-		t.Fatalf("no immediate step in band %d of a period cycle", band)
+		t.Fatal("no immediate step in a period cycle")
 	}
 	flip.Imm ^= 1
 

@@ -209,42 +209,94 @@ func TestSeededDefectCorruptedTTable(t *testing.T) {
 	}
 }
 
-// TestSeededDefectBandLayout corrupts rijndael-10's band layout and
-// requires the validator to refuse it, naming the call length and what
-// failed: every band start after the first moved one row up, so each band
-// after the first starts below a row that holds no register, and the
-// output band dropped, so the walk stops before its block emerges.
-func TestSeededDefectBandLayout(t *testing.T) {
+// flipImm flips one bit of the first immediate xor in rows, searching from
+// the last row up, in copies: the row slice, and the step slice of the
+// cell it changes. rows itself, shared with other cycles or the batch
+// form, is left as it was.
+func flipImm(t *testing.T, rows []fastpath.TraceRow) []fastpath.TraceRow {
+	t.Helper()
+	rows = slices.Clone(rows)
+	for r := len(rows) - 1; r >= 0; r-- {
+		for c := range rows[r].Cells {
+			cell := &rows[r].Cells[c]
+			if i := slices.IndexFunc(cell.Steps, func(st fastpath.TraceStep) bool {
+				return st.Kind == fastpath.StepXorImm
+			}); i >= 0 {
+				cell.Steps = slices.Clone(cell.Steps)
+				cell.Steps[i].Imm ^= 1
+				return rows
+			}
+		}
+	}
+	t.Fatal("no immediate xor in the rows")
+	return nil
+}
+
+// TestSeededDefectPrivateTickRows gives one period cycle of rijndael-10 a
+// private copy of the row list that every enabled cycle and the batch
+// form share, with one immediate flipped in its last band. The batch form
+// still computes the cipher, but the trace's cycles no longer do, so the
+// validator must refuse the trace with a witness.
+func TestSeededDefectPrivateTickRows(t *testing.T) {
+	p, err := BuildRijndael(validationKey(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := validateMutated(t, p, func(tr *fastpath.Trace) bool {
+		if tr.Batch == nil {
+			return false
+		}
+		last := &tr.Period[len(tr.Period)-1]
+		last.Rows = flipImm(t, last.Rows)
+		return true
+	})
+	requireRejected(t, res)
+}
+
+// TestSeededDefectBatchForm corrupts rijndael-10's batch form, leaving the
+// trace's cycles as compiled, and requires the validator to refuse it,
+// naming the block and what failed: its rows rotated by one, its last row
+// dropped, and one immediate flipped in a private copy of its rows. The
+// cycles still match the microcode, so only the batch-form proof can
+// refuse these.
+func TestSeededDefectBatchForm(t *testing.T) {
 	p, err := BuildRijndael(validationKey(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name   string
-		mutate func(bands []int) []int
-		reason string
+		name    string
+		mutate  func(rows []fastpath.TraceRow) []fastpath.TraceRow
+		reason  string
+		witness bool
 	}{
-		{"shifted", func(b []int) []int {
-			for s := 1; s < len(b)-1; s++ {
-				b[s]--
-			}
-			return b
-		}, "band layout fails on a 1-block call: output 0 col 0 differs from the full array's\n  banded: v"},
-		{"truncated", func(b []int) []int { return append(b[:len(b)-2], b[len(b)-1]) }, "band layout fails on a 1-block call: "},
+		{"shifted", func(rows []fastpath.TraceRow) []fastpath.TraceRow {
+			return append(slices.Clone(rows[1:]), rows[0])
+		}, "batch form fails on block 0 col ", true},
+		{"truncated", func(rows []fastpath.TraceRow) []fastpath.TraceRow {
+			return rows[:len(rows)-1]
+		}, "batch form has 19 rows, want 20", false},
+		{"flipped", func(rows []fastpath.TraceRow) []fastpath.TraceRow {
+			return flipImm(t, rows)
+		}, "batch form fails on block 0 col ", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := validateMutated(t, p, func(tr *fastpath.Trace) bool {
-				if tr.Bands == nil {
+				if tr.Batch == nil {
 					return false
 				}
-				tr.Bands = c.mutate(tr.Bands)
+				b := *tr.Batch
+				b.Rows = c.mutate(b.Rows)
+				tr.Batch = &b
 				return true
 			})
-			if res.Proven {
-				t.Fatalf("corrupted band layout was proven:\n%s", res)
+			if c.witness {
+				requireRejected(t, res)
+			} else if res.Proven {
+				t.Fatalf("corrupted batch form was proven:\n%s", res)
 			}
 			if !strings.Contains(res.Reason, c.reason) {
-				t.Fatalf("refusal does not name the call length:\n%s", res)
+				t.Fatalf("refusal does not name the block:\n%s", res)
 			}
 		})
 	}

@@ -21,11 +21,14 @@ const tracePassCap = 4096
 // taint, and every table-read step (S8/S4/S8to32 lanes, folded GF
 // contribution tables) records the taint of its index value.
 //
-// The walker mirrors Exec.runSeg step for step — same input selection,
-// shuffle, insel, register swap, and emit points — so a profile mismatch
-// against the microcode means the compiled ops and the microcode disagree
-// about where secrets reach memory addresses, which is exactly what
-// Compare reports.
+// The walker follows the trace's cycles as Exec.runSeg runs them — same
+// input selection, shuffle, insel, register swap and emit points. A trace
+// with a batch form runs the same steps on the same values, once per
+// block: its enabled cycles all run the batch form's rows, and each block
+// meets every row once. So the profile describes what runs either way, and
+// a mismatch against the microcode means the compiled ops and the
+// microcode disagree about where secrets reach memory addresses, which is
+// exactly what Compare reports.
 func AnalyzeTrace(tr *fastpath.Trace) *Profile {
 	p := &Profile{Name: tr.Name, Source: "fastpath"}
 	acc := make(map[[3]int]*Access)
@@ -116,7 +119,7 @@ func (w *traceWalker) access(row, col int, elem isa.Elem, tick int, taint Taint)
 	a.Count++
 }
 
-// tick interprets one compiled cycle (mirrors Exec.runSeg).
+// tick interprets one compiled cycle, as Exec.runSeg runs it.
 func (w *traceWalker) tick(ct *fastpath.TraceTick, tick int) {
 	if !ct.Enabled {
 		return
