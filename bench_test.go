@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"cobra/internal/bench"
+	"cobra/internal/bits"
 	"cobra/internal/census"
 	"cobra/internal/cipher"
 	"cobra/internal/core"
@@ -376,50 +377,71 @@ func BenchmarkFarm(b *testing.B) {
 	}
 }
 
-// BenchmarkDecryption measures device decryption across the three
-// ciphers at the base-architecture granularity, on each engine: the
-// compiled trace (Config{}) and the cycle-accurate interpreter. The first
-// call, which builds the decryption engine, runs before the timer starts.
+// BenchmarkDecryption measures 16-block decryption across the three
+// ciphers at the base-architecture granularity, on each engine: a device's
+// compiled trace (its first call, which builds the decryption engine,
+// runs before the timer starts) and the cycle-accurate interpreter,
+// program.Run on a machine loaded with the same decryption program.
 func BenchmarkDecryption(b *testing.B) {
 	for _, c := range []struct {
 		alg    core.Algorithm
 		unroll int
 	}{{core.RC6, 2}, {core.Rijndael, 2}, {core.Serpent, 1}} {
-		for _, interp := range []bool{false, true} {
-			engine := "fastpath"
-			if interp {
-				engine = "interpreter"
+		b.Run(fmt.Sprintf("%s-%d/fastpath", c.alg, c.unroll), func(b *testing.B) {
+			d, err := core.Configure(c.alg, benchKey, core.Config{Unroll: c.unroll})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s-%d/%s", c.alg, c.unroll, engine), func(b *testing.B) {
-				d, err := core.Configure(c.alg, benchKey, core.Config{Unroll: c.unroll, Interpreter: interp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				src := make([]byte, 16*16)
-				dst := make([]byte, len(src))
+			ctx := context.Background()
+			src := make([]byte, 16*16)
+			dst := make([]byte, len(src))
+			if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(src)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(int64(len(src)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
-						b.Fatal(err)
-					}
+			}
+		})
+		b.Run(fmt.Sprintf("%s-%d/interpreter", c.alg, c.unroll), func(b *testing.B) {
+			s, err := program.Lookup(string(c.alg))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := s.BuildDecrypt(benchKey, c.unroll)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := program.NewMachine(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := program.Load(m, p); err != nil {
+				b.Fatal(err)
+			}
+			blocks := make([]bits.Block128, 16)
+			b.SetBytes(16 * int64(len(blocks)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := program.Run(m, p, blocks, blocks, program.Opts{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkRebind measures one device switching between two tenants at
-// full unroll — rijndael-10 to rijndael-10 under another key (the machine
-// stays), and rijndael-10 ↔ rc6-20 (20 and 40 rows: the machine is
-// re-tiled) — on each path: reconfigure builds and compiles the target's
-// image on the switching device (Device.Reconfigure), load installs an
-// image compiled beforehand (Device.Load, a farm worker's rebind). Every
-// op is one switch and runs one configuration phase; the device
+// full unroll — rijndael-10 to rijndael-10 under another key, and
+// rijndael-10 ↔ rc6-20 (20 and 40 rows) — on each path: reconfigure
+// builds and compiles the target's image on the switching device
+// (Device.Reconfigure), load installs an image compiled beforehand
+// (Device.Load, a farm worker's rebind: an executor over the image's
+// trace, with the recorded configuration phase counted, not simulated).
+// Every op is one switch and counts one configuration phase; the device
 // alternates between the two targets. Run with -benchmem.
 func BenchmarkRebind(b *testing.B) {
 	type target struct {
@@ -444,20 +466,16 @@ func BenchmarkRebind(b *testing.B) {
 		}
 		for _, path := range []string{"reconfigure", "load"} {
 			b.Run(c.name+"/"+path, func(b *testing.B) {
-				d, err := core.NewDevice(imgs[0])
-				if err != nil {
-					b.Fatal(err)
-				}
+				d := core.NewDevice(imgs[0])
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 1; i <= b.N; i++ {
-					t := c.targets[i%2]
 					if path == "load" {
-						err = d.Load(imgs[i%2])
-					} else {
-						err = d.Reconfigure(t.alg, t.key, core.Config{})
+						d.Load(imgs[i%2])
+						continue
 					}
-					if err != nil {
+					t := c.targets[i%2]
+					if err := d.Reconfigure(t.alg, t.key, core.Config{}); err != nil {
 						b.Fatal(err)
 					}
 				}

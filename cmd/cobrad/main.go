@@ -37,7 +37,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "concurrent requests per backend (0: 1 for device, workers for farm)")
 	maxWaiters := flag.Int("max-waiters", 0, "requests queued per backend before BUSY (0: 2x max-inflight)")
 	maxFrame := flag.Uint("max-frame", uint(serve.DefaultMaxFrame), "max frame payload bytes")
-	interp := flag.Bool("interp", false, "force the cycle-accurate interpreter (no fastpath)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/vars on this address (e.g. 127.0.0.1:9090)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight sessions on SIGTERM before force-close")
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 		MaxInflight: *maxInflight,
 		MaxWaiters:  *maxWaiters,
 		MaxFrame:    uint32(*maxFrame),
-		Interpreter: *interp,
 		Logf:        logf,
 	}
 	if *metricsAddr != "" {

@@ -118,17 +118,6 @@ type simTenant struct {
 	configPs int64         // one configuration or reconfiguration
 }
 
-// split shards a call of n blocks the way Farm does below its shard
-// cap: one shard per worker, the last one short.
-func split(n, workers int) []int {
-	per := (n + workers - 1) / workers
-	var sizes []int
-	for ; n > 0; n -= per {
-		sizes = append(sizes, min(per, n))
-	}
-	return sizes
-}
-
 // FarmSweep runs the mixed-tenant scheduler study: for each pool width,
 // the same three closed-loop tenants under the pool's placer
 // (farm.Placer, the "affinity" arm) and under the control arm,
@@ -183,7 +172,7 @@ func FarmSweep(key []byte, workersList []int) (*FarmReport, error) {
 		// priced as a later call, whatever the order of the widths.
 		sizes := []int{1}
 		for _, n := range workersList {
-			sizes = append(sizes, split(rep.CallBlocks, n)...)
+			sizes = append(sizes, farm.Split(rep.CallBlocks, n, farm.ShardBlocks)...)
 		}
 		for i, b := range sizes {
 			buf := make([]byte, 16*b)
@@ -199,7 +188,7 @@ func FarmSweep(key []byte, workersList []int) (*FarmReport, error) {
 	}
 	for _, policy := range []string{"affinity", "roundrobin"} {
 		for _, n := range workersList {
-			rep.Points = append(rep.Points, simulate(ts, n, split(rep.CallBlocks, n), rep.WarmupRounds, rep.MeasureRounds, policy))
+			rep.Points = append(rep.Points, simulate(ts, n, farm.Split(rep.CallBlocks, n, farm.ShardBlocks), rep.WarmupRounds, rep.MeasureRounds, policy))
 		}
 	}
 	return rep, nil

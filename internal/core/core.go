@@ -13,16 +13,22 @@
 // frequency, throughput, and gate count. What Configure compiles — the
 // microcode, its configuration phase recorded once on a fresh array, its
 // fastpath traces and the timing model — is an Image (Device.Image):
-// other devices load it (NewDevice, Device.Load) by restoring the
-// recording, which counts the phase's simulated cycles without simulating
-// it again. That is how internal/farm's workers switch tenants.
+// other devices load it (NewDevice, Device.Load), which counts the
+// recorded phase's simulated cycles without simulating it again. That is
+// how internal/farm's workers switch tenants.
+//
+// Every block a device encrypts or decrypts runs on a compiled trace
+// (package fastpath), the object package equiv proves and package sca
+// profiles. COBRA's control is data-independent (§3.4), so every program
+// the registry builds compiles to one; a program whose trace is refused
+// is a configuration error, not a second engine.
 //
 // Every mode method takes a context (the unified Cipher surface, see
 // cipher.go) and every Device carries an internal/obs registry: per-mode
-// request/latency series, engine and fallback counters, and the simulator
-// counters themselves; its owner attaches Obs() to a parent registry for
-// live /metrics export. Report and Summary are views over that
-// registry — there is no second set of books.
+// request/latency series, trace counters, and the simulator counters
+// themselves; its owner attaches Obs() to a parent registry for live
+// /metrics export. Report and Summary are views over that registry —
+// there is no second set of books.
 package core
 
 import (
@@ -78,18 +84,13 @@ type Config struct {
 	// Unroll is the number of rounds mapped into hardware (Table 3's
 	// "Rnds"); 0 selects the full unroll (maximum throughput).
 	Unroll int
-	// Interpreter forces every encryption and decryption through the
-	// cycle-accurate interpreter even when the program trace-compiles (the
-	// comparison and debugging path; cobra-bench -fastpath measures against
-	// it). The default runs each direction on the fastpath executor when
-	// its program proves steady-state compilable.
-	Interpreter bool
 	// Validate runs the symbolic translation validator (package equiv) over
 	// every compiled fastpath trace, of either direction, before an Image
 	// carries it: a trace not proven to compute the microcode's exact
-	// block stream is refused, and that direction falls back to the
-	// interpreter (FastpathErr reports the encryption trace's verdict).
-	// The proven trace is the object every device loaded from the image
+	// block stream is an error, with the validator's verdict (divergence
+	// witness included), from Configure or Reconfigure for the encryption
+	// trace and from the first decrypt for the decryption trace. The
+	// proven trace is the object every device loaded from the image
 	// runs. Off by default: validation costs a few ms to tens of ms per
 	// image (once per trace; devices that Load the image do not validate
 	// again). What it adds is a proof of the image's own key-specific
@@ -107,9 +108,9 @@ type Config struct {
 // documents. The Config.Validate gate runs once per trace, here. An Image
 // is immutable once built, apart from that once-only decryption build, and
 // safe for concurrent use: any number of devices may load it
-// (Device.Load), each restoring the recordings onto its own machines and
-// running its own executor over the shared traces. It is the microcode a
-// COBRA part reloads on a switch (§1's algorithm agility), assembled once.
+// (Device.Load), each running its own executor over the shared traces. It
+// is the microcode a COBRA part reloads on a switch (§1's algorithm
+// agility), assembled once.
 type Image struct {
 	alg    Algorithm
 	spec   *program.Spec
@@ -125,38 +126,33 @@ type Image struct {
 
 // code is one direction's compiled microcode: the program, its recording
 // (the machine at the idle point its configuration phase reaches on a
-// fresh array, with the phase's counters) and the trace compiled from it —
-// nil when compilation was refused (err records why) or forced off by
-// Config.Interpreter. No device runs trace itself; each runs a Fresh
-// executor over it.
+// fresh array, with the phase's counters) and the trace compiled from it.
+// No device runs trace itself; each runs a Fresh executor over it.
 type code struct {
 	prog  *program.Program
 	rec   *sim.Recording
 	trace *fastpath.Exec
-	err   error
 }
 
-// compile records p's configuration phase and trace-compiles p unless
-// cfg.Interpreter forces it off, and applies the opt-in Config.Validate
-// gate: an unproven trace is dropped, so that direction runs on the
-// interpreter, and err carries the validator's verdict (divergence
-// witness included). Only a configuration phase that fails is an error.
+// compile records p's configuration phase, trace-compiles p from the
+// recording and applies the opt-in Config.Validate gate. A refused trace
+// is the error (one wrapping fastpath.ErrNotSteady, or the validator's
+// verdict): a device has no other engine to run p on.
 func compile(p *program.Program, cfg Config) (*code, error) {
 	rec, err := p.Record()
 	if err != nil {
 		return nil, err
 	}
-	c := &code{prog: p, rec: rec}
-	if cfg.Interpreter {
-		return c, nil
+	trace, err := p.CompileFrom(rec)
+	if err != nil {
+		return nil, err
 	}
-	c.trace, c.err = p.CompileFrom(rec)
-	if c.trace != nil && cfg.Validate {
-		if res := p.ValidateExec(c.trace); !res.Proven {
-			c.trace, c.err = nil, res.Err()
+	if cfg.Validate {
+		if res := p.ValidateExec(trace); !res.Proven {
+			return nil, res.Err()
 		}
 	}
-	return c, nil
+	return &code{prog: p, rec: rec, trace: trace}, nil
 }
 
 // newImage builds and compiles an image of the algorithm/key pair. Its
@@ -208,31 +204,24 @@ func (img *Image) decoder() (*code, bool, error) {
 	return img.dec, built, img.decErr
 }
 
-// engine is one direction's datapath on a device: the image's code, the
-// machine its recording is restored on, and the device's own executor
-// over its compiled trace — nil when there is none (code.err records why).
+// engine is one direction's datapath on a device: the image's code and
+// the device's own executor over its compiled trace.
 type engine struct {
 	*code
-	machine *sim.Machine
-	fast    *fastpath.Exec
-}
-
-// machineKey names one of a device's machines: a direction and a geometry.
-type machineKey struct {
-	geo     datapath.Geometry
-	decrypt bool
+	fast *fastpath.Exec
 }
 
 // Device is one COBRA chip with loaded microcode.
 //
-// A Device is not safe for concurrent use: it owns sim.Machines per
+// A Device is not safe for concurrent use: it owns an executor per
 // direction (single-threaded silicon) and every Encrypt/Decrypt call
-// mutates one's queues and counters. Report, Summary and ResetStats ARE
-// safe to call concurrently with encryption — they read and snapshot
-// atomic registry counters — which is how the farm reports on live
-// workers. To serve a non-feedback workload in parallel, replicate
-// devices — one per goroutine, each loaded from one Image — and shard
-// the data between them; internal/farm packages exactly that pattern.
+// mutates one's pipeline state and the device's scratch buffers. Report,
+// Summary and ResetStats ARE safe to call concurrently with encryption —
+// they read and snapshot atomic registry counters — which is how the farm
+// reports on live workers. To serve a non-feedback workload in parallel,
+// replicate devices — one per goroutine, each loaded from one Image — and
+// shard the data between them; internal/farm packages exactly that
+// pattern.
 type Device struct {
 	img *Image
 	met *deviceMetrics
@@ -242,12 +231,6 @@ type Device struct {
 	// by the next load (in hardware terms: a second device, or this one
 	// re-loaded between directions).
 	enc, dec *engine
-
-	// machines holds one machine per direction and array geometry the
-	// device has loaded, tiled on first use and kept across loads: an
-	// engine's machine is the one for its direction and its program's
-	// geometry, restored from the program's recording.
-	machines map[machineKey]*sim.Machine
 
 	// oneBlk is the one-block scratch reused by the chaining modes'
 	// block-at-a-time path (EncryptCBC), and blkBuf the bulk staging
@@ -261,8 +244,8 @@ type Device struct {
 // Configure builds an image of the algorithm/key pair and loads it on a
 // new device: it compiles the key-specific microcode, runs its
 // configuration phase once to the idle point on a fresh array (the
-// image's recording), compiles the fastpath trace, and restores the
-// recording onto a machine of the matching array geometry.
+// image's recording) and compiles the fastpath trace from there. A trace
+// the compiler refuses, or Config.Validate does not prove, is an error.
 func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 	d := &Device{met: newDeviceMetrics()}
 	if err := d.configure(alg, key, cfg); err != nil {
@@ -272,121 +255,67 @@ func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
 }
 
 // NewDevice loads img on a new device (see Load).
-func NewDevice(img *Image) (*Device, error) {
+func NewDevice(img *Image) *Device {
 	d := &Device{met: newDeviceMetrics()}
-	if err := d.Load(img); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d.Load(img)
+	return d
 }
 
 // configure builds an image of the algorithm/key pair and loads it; its
-// trace counts as this device's compile. A build failure leaves the
-// device untouched.
+// trace counts as this device's compile. A build failure, a refused trace
+// among them, leaves the device untouched.
 func (d *Device) configure(alg Algorithm, key []byte, cfg Config) error {
 	img, err := newImage(alg, key, cfg)
 	if err != nil {
 		return err
 	}
-	if err := d.load(img); err != nil {
-		return err
-	}
-	if !cfg.Interpreter {
-		d.met.noteCompile(img.enc.trace != nil)
-	}
+	d.load(img)
+	d.met.compiles.Inc()
 	return nil
 }
 
 // Load switches the device to img, compiled elsewhere (by Configure or
-// Reconfigure on any device; Image returns it): the device restores the
-// image's recorded configuration phase onto its machine for the image's
-// geometry, counting the phase as if it had run, and takes its own
+// Reconfigure on any device; Image returns it): the device counts the
+// image's recorded configuration phase as if it had run and takes its own
 // executor over the image's trace instead of compiling one. The device
 // keeps its metrics registry, and the Report view resets.
-func (d *Device) Load(img *Image) error {
-	if err := d.load(img); err != nil {
-		return err
-	}
-	if img.enc.trace != nil {
-		d.met.installs.Inc()
-	}
-	return nil
+func (d *Device) Load(img *Image) {
+	d.load(img)
+	d.met.installs.Inc()
 }
 
-// load makes img the device's configuration, with its encryption
-// recording restored (see restore). Both engines of the previous
+// load makes img the device's configuration. Both engines of the previous
 // configuration go (a compiled trace encodes its program's configuration
 // schedule), each dropped trace counted as an invalidation, and the
 // Report view resets.
-func (d *Device) load(img *Image) error {
-	m, err := d.restore(false, img.enc)
-	if err != nil {
-		return err
-	}
+func (d *Device) load(img *Image) {
 	for _, e := range [...]*engine{d.enc, d.dec} {
-		if e != nil && e.fast != nil {
+		if e != nil {
 			d.met.invalidations.Inc()
 		}
 	}
-	d.img, d.enc, d.dec = img, img.enc.engine(m), nil
+	d.img, d.enc, d.dec = img, d.install(img.enc), nil
 	d.met.setAlg(img.alg)
 	d.met.resetStats()
-	return nil
 }
 
-// restore copies c's recording onto the device's machine for one
-// direction and c's geometry, tiling that machine on first use. Every
-// machine's observer feeds the device registry, so each restored
-// configuration phase counts once in cobra_sim_*, as a run phase would;
-// fastpath runs never touch the machine, so the cobra_device_*_total
-// mirrors that run feeds are the source of truth for bulk work.
-func (d *Device) restore(decrypt bool, c *code) (*sim.Machine, error) {
-	k := machineKey{geo: c.prog.Geometry, decrypt: decrypt}
-	m := d.machines[k]
-	if m == nil {
-		var err error
-		if m, err = program.NewMachine(c.prog); err != nil {
-			return nil, err
-		}
-		m.Obs = d.met.sim
-		if d.machines == nil {
-			d.machines = make(map[machineKey]*sim.Machine)
-		}
-		d.machines[k] = m
-	}
-	return m, m.Restore(c.rec)
-}
-
-// engine returns a device engine running c on m, with its own executor
-// over c's trace.
-func (c *code) engine(m *sim.Machine) *engine {
-	e := &engine{code: c, machine: m}
-	if c.trace != nil {
-		e.fast = c.trace.Fresh()
-	}
-	return e
-}
-
-// interpret runs a batch on the engine's machine. A streaming program
-// leaves flush blocks in flight after a call, so a used machine is
-// restored to the recorded idle point first, where program.Run would load
-// the program and run its configuration phase again.
-func (e *engine) interpret(dst, src []bits.Block128) (sim.Stats, error) {
-	if e.prog.Streaming && e.machine.Dirty() {
-		if err := e.machine.Restore(e.rec); err != nil {
-			return sim.Stats{}, err
-		}
-	}
-	return program.Run(e.machine, e.prog, dst, src, program.Opts{})
+// install returns an engine running c, with the device's own executor over
+// c's trace, and adds c's recorded configuration phase to the device's
+// cobra_sim_* series, as loading the program on a machine would count it.
+// Bulk work runs on the executor, never on a machine, so the
+// cobra_device_*_total mirrors are the source of truth for it.
+func (d *Device) install(c *code) *engine {
+	c.rec.Observe(d.met.sim)
+	return &engine{code: c, fast: c.trace.Fresh()}
 }
 
 // Image returns the device's loaded image, for loading on other devices.
 func (d *Device) Image() *Image { return d.img }
 
 // decryptor returns the decryption engine, installing it on first use:
-// the image's decryption code (built and compiled by the first decrypt
-// of any device loaded from the image, counted as that device's
-// compile) restored on the device's decryption machine for its geometry.
+// the image's decryption code, built and compiled by the first decrypt
+// of any device loaded from the image (counted as that device's compile;
+// a refused trace is that decrypt's error, and every later one's).
 // Installing it neither resets the Report view nor counts an
 // invalidation: it adds a direction rather than replacing one.
 func (d *Device) decryptor() (*engine, error) {
@@ -395,18 +324,12 @@ func (d *Device) decryptor() (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := d.restore(true, c)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case d.img.cfg.Interpreter:
-		case built:
-			d.met.noteCompile(c.trace != nil)
-		case c.trace != nil:
+		if built {
+			d.met.compiles.Inc()
+		} else {
 			d.met.installs.Inc()
 		}
-		d.dec = c.engine(m)
+		d.dec = d.install(c)
 	}
 	return d.dec, nil
 }
@@ -415,19 +338,10 @@ func (d *Device) decryptor() (*engine, error) {
 // maintains, for attaching to an export parent or scraping in tests.
 func (d *Device) Obs() *obs.Registry { return d.met.reg }
 
-// UsesFastpath reports whether encryption runs on the trace-compiled
-// executor rather than the cycle-accurate interpreter.
-func (d *Device) UsesFastpath() bool { return d.enc.fast != nil }
-
-// FastpathErr returns why the encryption trace was refused (nil when the
-// fastpath is active or was forced off by Config.Interpreter).
-func (d *Device) FastpathErr() error { return d.enc.err }
-
 // run routes a block batch through one direction's engine — the
 // encryption engine, or with decrypt set the decryption engine, built on
 // first use — and folds the call's simulator counters into the device's.
-// The batch runs on the compiled trace when there is one, else on the
-// interpreter. The context is checked once per batch — a simulated batch is the unit
+// The context is checked once per batch — a simulated batch is the unit
 // of work a caller can abandon.
 func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block128) (sim.Stats, error) {
 	if err := ctx.Err(); err != nil {
@@ -439,26 +353,11 @@ func (d *Device) run(ctx context.Context, decrypt bool, dst, blocks []bits.Block
 			return sim.Stats{}, err
 		}
 	}
-	var st sim.Stats
-	if e.fast != nil {
-		st, err = e.fast.EncryptInto(dst, blocks)
-		if err == nil {
-			d.met.fastBlocks.Add(int64(len(blocks)))
-		}
-	} else {
-		if d.img.cfg.Interpreter {
-			d.met.fbForced.Inc()
-		} else {
-			d.met.fbRefused.Inc()
-		}
-		st, err = e.interpret(dst, blocks)
-		if err == nil {
-			d.met.interpBlocks.Add(int64(len(blocks)))
-		}
-	}
+	st, err := e.fast.EncryptInto(dst, blocks)
 	if err != nil {
 		return st, err
 	}
+	d.met.fastBlocks.Add(int64(len(blocks)))
 	d.met.addStats(st)
 	return st, nil
 }
@@ -484,13 +383,12 @@ func (d *Device) scratch(n int) []bits.Block128 {
 
 // Reconfigure switches the device to a new algorithm/key — the §1
 // algorithm-agility scenario — by building an image of the pair and
-// loading it. The device keeps a machine for every array geometry it has
-// loaded (in hardware terms: a differently tiled part per geometry), and
-// the switch restores the new image's recording onto the one for its
-// geometry. The device keeps its metrics registry (and any parent
-// attachment): exported counters stay monotonic across the switch, the
-// info series flips to the new algorithm, and the Report view resets. A
-// switch to a pair some device already compiled is cheaper through Load.
+// loading it, of whatever array geometry (in hardware terms: a
+// differently tiled part). The device keeps its metrics registry (and any
+// parent attachment): exported counters stay monotonic across the switch,
+// the info series flips to the new algorithm, and the Report view resets.
+// A switch to a pair some device already compiled is cheaper through
+// Load. A refused trace fails the switch and leaves the device as it was.
 func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
 	return d.configure(alg, key, cfg)
 }
@@ -744,10 +642,9 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 // with the same structures — RC6 via SUB + negated-amount rotates,
 // Rijndael via the FIPS-197 equivalent inverse cipher, Serpent via the
 // inverse LT rows. The first decrypt call installs the decryption engine
-// — its program loaded on a machine of its own, with the trace the
-// device's image compiled (and gated by Config.Validate) on the first
-// decrypt of any device loaded from it — and its blocks and cycles count
-// in Report like encryption's. It decrypts at the device's unroll when the
+// — an executor over the trace the device's image compiled (and gated by
+// Config.Validate) on the first decrypt of any device loaded from it —
+// and its blocks and cycles count in Report like encryption's. It decrypts at the device's unroll when the
 // cipher maps a decryptor there (program.Spec.DecryptDepths), else at the
 // deepest mapped depth below it: Serpent's inverse is mapped at depth 1
 // only, so a serpent-32 device decrypts on serpent-dec-1 and its Report
@@ -784,10 +681,10 @@ type Report struct {
 // Report returns the accumulated performance counters combined with the
 // timing and area models — the quantities Tables 3, 5 and 6 report. The
 // counters sum every encryption and decryption since configuration (or
-// ResetStats) across both executors: interpreter runs and fastpath runs
-// (which report the cycles the interpreter would have spent) accumulate
-// identically. The clock and area models describe the encryption
-// program's array.
+// ResetStats) in both directions; each trace call reports the cycles the
+// interpreter spends on the same blocks, which the differential suite in
+// package fastpath pins. The clock and area models describe the
+// encryption program's array.
 // The view is derived from the device's obs registry, so Report agrees
 // with a concurrent /metrics scrape by construction.
 func (d *Device) Report() Report {
@@ -825,8 +722,9 @@ func (d *Device) Summary() Summary { return d.Report().Summary }
 // counting monotonically.
 func (d *Device) ResetStats() { d.met.resetStats() }
 
-// Describe renders the configured architecture topology (figure 1 style).
-func (d *Device) Describe() string { return d.enc.machine.Array.Describe() }
+// Describe renders the configured architecture topology (figure 1 style):
+// the encryption program's array as its configuration phase leaves it.
+func (d *Device) Describe() string { return d.enc.rec.Array().Describe() }
 
 // Microcode returns the loaded program size in 80-bit instruction words.
 func (d *Device) Microcode() int { return len(d.enc.prog.Instrs) }

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"cobra/internal/bits"
 	"cobra/internal/cipher"
+	"cobra/internal/fastpath"
 	"cobra/internal/program"
+	"cobra/internal/sim"
 )
 
 var key = []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
@@ -151,6 +156,131 @@ func hostRef(t *testing.T, alg Algorithm, key []byte) cipher.Block {
 		t.Fatal(err)
 	}
 	return ref
+}
+
+// interpreter is the reference a device's traces are held to: one
+// direction's program, built from the registry, loaded on a machine of its
+// own and run by program.Run, the cycle-accurate interpreter.
+type interpreter struct {
+	p *program.Program
+	m *sim.Machine
+}
+
+// newInterpreter loads alg's program for key at unroll hw (0: the full
+// unroll), or with decrypt set its decryption program at depth hw, on a
+// fresh machine.
+func newInterpreter(t testing.TB, alg Algorithm, key []byte, hw int, decrypt bool) *interpreter {
+	t.Helper()
+	s, err := program.Lookup(string(alg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hw == 0 {
+		hw = s.Rounds
+	}
+	build := s.Build
+	if decrypt {
+		build = s.BuildDecrypt
+	}
+	p, err := build(key, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := program.NewMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := program.Load(m, p); err != nil {
+		t.Fatal(err)
+	}
+	return &interpreter{p: p, m: m}
+}
+
+// ecb runs the whole blocks of src through the program, as one call, and
+// returns the output and the call's counters.
+func (r *interpreter) ecb(t testing.TB, src []byte) ([]byte, sim.Stats) {
+	t.Helper()
+	blocks := make([]bits.Block128, len(src)/16)
+	for i := range blocks {
+		blocks[i] = bits.LoadBlock128(src[16*i:])
+	}
+	st, err := program.Run(r.m, r.p, blocks, blocks, program.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, len(src))
+	for i, b := range blocks {
+		b.StoreBlock128(out[16*i:])
+	}
+	return out, st
+}
+
+// TestConfigureEveryDepthRoundTrips walks every unroll from 0 to each
+// cipher's round count. Configure must accept exactly 0 and the depths
+// the registry lists (the divisors of the round count), and every
+// accepted depth compiles a trace in both directions: one block
+// encrypts and decrypts as the host reference does. A program whose
+// trace were refused would fail Configure or the decrypt, since a device
+// has no other engine.
+func TestConfigureEveryDepthRoundTrips(t *testing.T) {
+	pt := bytes.Repeat([]byte{0x96}, 16)
+	for _, alg := range []Algorithm{RC6, Rijndael, Serpent} {
+		s, err := program.Lookup(string(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := hostRef(t, alg, key)
+		want := make([]byte, 16)
+		ref.Encrypt(want, pt)
+		for u := 0; u <= s.Rounds; u++ {
+			d, err := Configure(alg, key, Config{Unroll: u})
+			if legal := u == 0 || slices.Contains(s.Depths, u); !legal {
+				if err == nil {
+					t.Errorf("%s-%d: Configure accepted a depth the registry does not list", alg, u)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s-%d: %v", alg, u, err)
+				continue
+			}
+			t.Run(fmt.Sprintf("%s-%d", alg, u), func(t *testing.T) {
+				ct, err := d.EncryptECB(context.Background(), pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ct, want) {
+					t.Fatalf("ciphertext %x, host reference %x", ct, want)
+				}
+				back, err := d.DecryptECB(context.Background(), ct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(back, pt) {
+					t.Fatalf("decrypted on %s to %x, want %x", d.dec.prog.Name, back, pt)
+				}
+			})
+		}
+	}
+}
+
+// TestCompileRefusalIsError hands compile a program whose configuration
+// phase records but whose trace the compiler refuses: the key-request
+// handshake of program.BuildRijndaelKeyed needs the external system. The
+// refusal must come back as compile's error, wrapping
+// fastpath.ErrNotSteady, not as code without a trace.
+func TestCompileRefusalIsError(t *testing.T) {
+	p, err := program.BuildRijndaelKeyed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Record(); err != nil {
+		t.Fatalf("recording refused, so the trace refusal is not reached: %v", err)
+	}
+	c, err := compile(p, Config{})
+	if !errors.Is(err, fastpath.ErrNotSteady) {
+		t.Fatalf("compile returned (%v, %v), want an error wrapping fastpath.ErrNotSteady", c, err)
+	}
 }
 
 // TestConfigureServesSixteenByteCiphers walks the cipher registry: a

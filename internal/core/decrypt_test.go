@@ -10,11 +10,8 @@ import (
 	"fmt"
 	"testing"
 
-	"cobra/internal/bits"
 	"cobra/internal/cipher"
 	"cobra/internal/obs"
-	"cobra/internal/program"
-	"cobra/internal/sim"
 )
 
 // testCiphertext is n deterministic 16-byte blocks.
@@ -42,11 +39,12 @@ func refDecryptCBC(ref cipher.Block, iv, src []byte) []byte {
 
 // TestDecryptMatchesReferenceOnBothEngines covers every 16-byte cipher at
 // every depth its registry entry maps a decryptor at, plus a serpent-32
-// device (which decrypts at Serpent's one mapped depth). On the fastpath
-// and on the forced interpreter, ECB and CBC decryption must match the
-// host reference, the two engines must report identical per-call counters
-// at 1, 8, 24 and 48 blocks, and each device must count every decrypted
-// block under its own engine.
+// device (which decrypts at Serpent's one mapped depth). The device's
+// decryption trace and the interpreter running the same decryption
+// program must both match the host reference, and report identical
+// per-call counters, on ECB calls of 1, 8, 24 and 48 blocks and on a
+// 5-block CBC message; the device counts every decrypted block under
+// engine="fastpath".
 func TestDecryptMatchesReferenceOnBothEngines(t *testing.T) {
 	type tc struct {
 		alg    Algorithm
@@ -69,15 +67,11 @@ func TestDecryptMatchesReferenceOnBothEngines(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s-%d", c.alg, c.unroll), func(t *testing.T) {
 			ref := hostRef(t, c.alg, key)
-			fast, err := Configure(c.alg, key, Config{Unroll: c.unroll})
+			d, err := Configure(c.alg, key, Config{Unroll: c.unroll})
 			if err != nil {
 				t.Fatal(err)
 			}
-			interp, err := Configure(c.alg, key, Config{Unroll: c.unroll, Interpreter: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			devices := []*Device{fast, interp}
+			var interp *interpreter
 			blocks := 0
 			for _, n := range []int{1, 8, 24, 48} {
 				ct := testCiphertext(n)
@@ -85,47 +79,46 @@ func TestDecryptMatchesReferenceOnBothEngines(t *testing.T) {
 				for i := 0; i < len(ct); i += 16 {
 					ref.Decrypt(want[i:], ct[i:])
 				}
-				var st [2]sim.Stats
-				for i, d := range devices {
-					got := make([]byte, len(ct))
-					if st[i], err = d.DecryptECBInto(ctx, got, ct); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%d blocks, interpreter=%v: ECB plaintext differs from the host reference", n, d.img.cfg.Interpreter)
-					}
+				got := make([]byte, len(ct))
+				st, err := d.DecryptECBInto(ctx, got, ct)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if st[0] != st[1] {
-					t.Errorf("%d blocks: fastpath counters %+v, interpreter %+v", n, st[0], st[1])
+				if interp == nil {
+					interp = newInterpreter(t, c.alg, key, d.dec.prog.HWRounds, true)
+				}
+				igot, ist := interp.ecb(t, ct)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d blocks: the trace's ECB plaintext differs from the host reference", n)
+				}
+				if !bytes.Equal(igot, want) {
+					t.Fatalf("%d blocks: the interpreter's ECB plaintext differs from the host reference", n)
+				}
+				if st != ist {
+					t.Errorf("%d blocks: fastpath counters %+v, interpreter %+v", n, st, ist)
 				}
 				blocks += n
 			}
 			ct := testCiphertext(5)
-			want := refDecryptCBC(ref, iv, ct)
-			for _, d := range devices {
-				got, err := d.DecryptCBC(ctx, iv, ct)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("interpreter=%v: CBC plaintext differs from the host reference", d.img.cfg.Interpreter)
-				}
+			before := d.Report().Stats
+			got, err := d.DecryptCBC(ctx, iv, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refDecryptCBC(ref, iv, ct); !bytes.Equal(got, want) {
+				t.Fatal("CBC plaintext differs from the host reference")
+			}
+			if _, ist := interp.ecb(t, ct); d.Report().Stats.Delta(before) != ist {
+				t.Errorf("CBC: fastpath counters %+v, interpreter %+v",
+					d.Report().Stats.Delta(before), ist)
 			}
 			blocks += 5
 
-			if fast.dec.fast == nil {
-				t.Fatalf("decryptor %s did not compile: %v", fast.dec.prog.Name, fast.dec.err)
+			if got := counterValue(t, d.Obs(), "cobra_device_engine_blocks_total", obs.L("engine", "fastpath")); got != int64(blocks) {
+				t.Errorf("fastpath engine blocks = %d, want all %d decrypted blocks", got, blocks)
 			}
-			for _, e := range []struct {
-				d      *Device
-				engine string
-			}{{fast, "fastpath"}, {interp, "interpreter"}} {
-				if got := counterValue(t, e.d.Obs(), "cobra_device_engine_blocks_total", obs.L("engine", e.engine)); got != int64(blocks) {
-					t.Errorf("%s engine blocks = %d, want all %d decrypted blocks", e.engine, got, blocks)
-				}
-				if got := e.d.Report().Stats.BlocksOut; got != blocks {
-					t.Errorf("%s device: Report BlocksOut = %d, want %d", e.engine, got, blocks)
-				}
+			if got := d.Report().Stats.BlocksOut; got != blocks {
+				t.Errorf("Report BlocksOut = %d, want %d", got, blocks)
 			}
 		})
 	}
@@ -208,30 +201,7 @@ func TestDecryptDepth(t *testing.T) {
 	}
 	// d is the last case's serpent-32 device: its Report must hold exactly
 	// what the serpent-dec-1 program spends on the same blocks.
-	s, err := program.Lookup("serpent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.BuildDecrypt(key, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := program.NewMachine(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := program.Load(m, p); err != nil {
-		t.Fatal(err)
-	}
-	blocks := make([]bits.Block128, 8)
-	for i := range blocks {
-		blocks[i] = bits.LoadBlock128(ct[16*i:])
-	}
-	want, err := program.Run(m, p, blocks, blocks, program.Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Report().Stats; got != want {
-		t.Errorf("serpent-32 device Report %+v, serpent-dec-1 run %+v", got, want)
+	if _, want := newInterpreter(t, Serpent, key, 1, true).ecb(t, ct); d.Report().Stats != want {
+		t.Errorf("serpent-32 device Report %+v, serpent-dec-1 run %+v", d.Report().Stats, want)
 	}
 }

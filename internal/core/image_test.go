@@ -1,8 +1,8 @@
 package core
 
 // Images: every device loaded from one Image shares its compiled traces,
-// one compile per direction, and a Load reruns the configuration phase
-// without compiling.
+// one compile per direction, and a Load counts the recorded configuration
+// phase without compiling or simulating anything.
 
 import (
 	"bytes"
@@ -62,13 +62,7 @@ func TestImageSharedAcrossDevices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := NewDevice(a.Image())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.UsesFastpath() || !b.UsesFastpath() {
-				t.Fatal("a device loaded from the image runs no fastpath")
-			}
+			b := NewDevice(a.Image())
 			devs := []*Device{a, b}
 			errs := make([]error, len(devs))
 			var wg sync.WaitGroup
@@ -112,14 +106,14 @@ func TestImageSharedAcrossDevices(t *testing.T) {
 	}
 }
 
-// TestLoadAllocBudget pins the host cost of a farm rebind: a
-// same-geometry Device.Load of full-unroll Rijndael, alternating between
-// two keys' images, reruns the configuration phase and installs fresh
-// executors over the images' traces within 300 heap allocations, against
+// TestLoadAllocBudget pins the host cost of a farm rebind: a Device.Load
+// of full-unroll Rijndael, alternating between two keys' images, counts
+// the image's recorded configuration phase and installs a fresh executor
+// over its trace within 5 heap allocations (3 measured), against
 // TestReconfigureAllocBudget's 5,000 for a build and compile. It compiles
-// nothing.
+// and simulates nothing.
 func TestLoadAllocBudget(t *testing.T) {
-	const budget = 300
+	const budget = 5
 	var imgs [2]*Image
 	for i, k := range [][]byte{key, bytes.Repeat([]byte{0x5A}, 16)} {
 		d, err := Configure(Rijndael, k, Config{})
@@ -128,38 +122,30 @@ func TestLoadAllocBudget(t *testing.T) {
 		}
 		imgs[i] = d.Image()
 	}
-	d, err := NewDevice(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDevice(imgs[0])
 	n := 0
 	allocs := testing.AllocsPerRun(10, func() {
 		n++
-		if err := d.Load(imgs[n%2]); err != nil {
-			t.Fatal(err)
-		}
+		d.Load(imgs[n%2])
 	})
-	if !d.UsesFastpath() {
-		t.Fatal("loaded device runs no fastpath")
-	}
 	if got := counterValue(t, d.Obs(), "cobra_device_fastpath_compiles_total"); got != 0 {
 		t.Errorf("Load compiled %d traces, want 0", got)
 	}
 	if allocs > budget {
-		t.Errorf("same-geometry Load: %.0f allocs/op, want <= %d", allocs, budget)
+		t.Errorf("Load: %.0f allocs/op, want <= %d", allocs, budget)
 	}
-	t.Logf("same-geometry Load: %.0f allocs/op", allocs)
+	t.Logf("Load: %.0f allocs/op", allocs)
 }
 
 // TestLoadAcrossGeometriesAllocBudget pins the host cost of a rebind that
 // changes the array geometry: one device alternates Loads of rijndael-10
 // (20 rows) and rc6-20 (40 rows), decrypting a block after each. A device
-// keeps one machine per direction and geometry, so neither the Load nor
-// the decryption engine the next decrypt installs tiles an array: each
-// restores a recording, within 30 heap allocations for the pair once both
-// images have built their decryption code.
+// holds no machine, so neither the Load nor the decryption engine the next
+// decrypt installs tiles an array: each installs an executor over an
+// image's trace, within 10 heap allocations for the pair (7 measured)
+// once both images have built their decryption code.
 func TestLoadAcrossGeometriesAllocBudget(t *testing.T) {
-	const budget = 30
+	const budget = 10
 	var imgs [2]*Image
 	for i, alg := range []Algorithm{Rijndael, RC6} {
 		d, err := Configure(alg, key, Config{})
@@ -168,19 +154,14 @@ func TestLoadAcrossGeometriesAllocBudget(t *testing.T) {
 		}
 		imgs[i] = d.Image()
 	}
-	d, err := NewDevice(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDevice(imgs[0])
 	ctx := context.Background()
 	ct := testCiphertext(1)
 	pt := make([]byte, len(ct))
 	n := 0
 	rebind := func() {
 		n++
-		if err := d.Load(imgs[n%2]); err != nil {
-			t.Fatal(err)
-		}
+		d.Load(imgs[n%2])
 		if _, err := d.DecryptECBInto(ctx, pt, ct); err != nil {
 			t.Fatal(err)
 		}

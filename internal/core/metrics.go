@@ -24,9 +24,10 @@ const (
 var opModeNames = [opModeCount]string{"ecb", "cbc", "ctr", "decrypt_ecb", "decrypt_cbc"}
 
 // Indices of the device-level simulator-counter mirrors (one obs.Counter
-// per sim.Stats field). These accumulate across BOTH engines — the
-// cobra_sim_* family underneath covers only the interpreter machine — and
-// are the single bookkeeping behind Report/Summary.
+// per sim.Stats field). These accumulate every trace call in both
+// directions — the cobra_sim_* family underneath counts only the loaded
+// configuration phases — and are the single bookkeeping behind
+// Report/Summary.
 const (
 	stCycles = iota
 	stAdvanced
@@ -49,7 +50,7 @@ var statMetricNames = [statCount]string{
 }
 
 var statMetricHelp = [statCount]string{
-	"Datapath cycles simulated by bulk encryption and decryption, both engines.",
+	"Datapath cycles simulated by bulk encryption and decryption.",
 	"Datapath cycles that advanced the sequencer.",
 	"Datapath cycles stalled on the READY/GO handshake.",
 	"Microcode instructions executed (or accounted by the fastpath).",
@@ -74,13 +75,8 @@ type deviceMetrics struct {
 	bytes  [opModeCount]*obs.Counter
 	lat    [opModeCount]*obs.Timer
 
-	// Engine split: which executor carried the bulk blocks.
-	fastBlocks   *obs.Counter
-	interpBlocks *obs.Counter
-
-	// Why a bulk call fell back to the interpreter.
-	fbRefused *obs.Counter
-	fbForced  *obs.Counter
+	// Bulk blocks, every one on the trace executor (engine="fastpath").
+	fastBlocks *obs.Counter
 
 	// Fastpath trace lifecycle: compiles counts the traces this device
 	// compiled itself, installs those it took from an image compiled
@@ -89,7 +85,6 @@ type deviceMetrics struct {
 	// Compiles plus installs minus invalidations is the number of traces
 	// installed on the device.
 	compiles      *obs.Counter
-	compileErrs   *obs.Counter
 	installs      *obs.Counter
 	invalidations *obs.Counter
 
@@ -99,8 +94,8 @@ type deviceMetrics struct {
 	st   [statCount]*obs.Counter
 	snap [statCount]atomic.Int64
 
-	// sim is the observer every machine of the device reports through:
-	// the cobra_sim_* families.
+	// sim is the observer every loaded configuration phase reports
+	// through: the cobra_sim_* families.
 	sim *sim.Observer
 
 	// info carries the current algorithm as a label (value 1 for the
@@ -122,16 +117,8 @@ func newDeviceMetrics() *deviceMetrics {
 	}
 	m.fastBlocks = reg.Counter("cobra_device_engine_blocks_total",
 		"Bulk blocks by execution engine.", obs.L("engine", "fastpath"))
-	m.interpBlocks = reg.Counter("cobra_device_engine_blocks_total",
-		"Bulk blocks by execution engine.", obs.L("engine", "interpreter"))
-	m.fbRefused = reg.Counter("cobra_device_fastpath_fallbacks_total",
-		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "compile_refused"))
-	m.fbForced = reg.Counter("cobra_device_fastpath_fallbacks_total",
-		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "forced_interpreter"))
 	m.compiles = reg.Counter("cobra_device_fastpath_compiles_total",
 		"Successful trace compilations run by this device.")
-	m.compileErrs = reg.Counter("cobra_device_fastpath_compile_errors_total",
-		"Refused trace compilations (program not provably steady-state).")
 	m.installs = reg.Counter("cobra_device_fastpath_installs_total",
 		"Compiled traces installed from an image compiled elsewhere.")
 	m.invalidations = reg.Counter("cobra_device_fastpath_invalidations_total",
@@ -157,15 +144,6 @@ func (m *deviceMetrics) setAlg(alg Algorithm) {
 		m.info[alg] = g
 	}
 	g.Set(1)
-}
-
-// noteCompile records one trace-compilation attempt.
-func (m *deviceMetrics) noteCompile(ok bool) {
-	if ok {
-		m.compiles.Inc()
-		return
-	}
-	m.compileErrs.Inc()
 }
 
 // addStats folds one bulk call's simulator delta into the device counters.

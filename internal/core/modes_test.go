@@ -51,27 +51,19 @@ const (
 // depth so the vectors cover both the iterative and streaming pipelines.
 func nistUnrolls() []int { return []int{1, 2, 5, 10} }
 
-// forEachNISTDevice runs f on a device for every unroll depth × execution
-// engine: the trace-compiled fastpath (the default) and the forced
-// cycle-accurate interpreter, so the official vectors pin both executors
-// independently.
+// forEachNISTDevice runs f on a device at every unroll depth, so the
+// official vectors pin the iterative and the streaming traces alike. The
+// interpreter the traces are compiled from is held to the traces by
+// package fastpath's differential suite, and to FIPS-197's vectors by
+// package program's golden tests.
 func forEachNISTDevice(t *testing.T, f func(t *testing.T, label string, d *Device)) {
 	t.Helper()
 	for _, u := range nistUnrolls() {
-		for _, interp := range []bool{false, true} {
-			engine := "fastpath"
-			if interp {
-				engine = "interpreter"
-			}
-			d, err := Configure(Rijndael, unhex(t, nistKey), Config{Unroll: u, Interpreter: interp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !interp && !d.UsesFastpath() {
-				t.Fatalf("unroll %d: fastpath refused: %v", u, d.FastpathErr())
-			}
-			f(t, fmt.Sprintf("unroll %d/%s", u, engine), d)
+		d, err := Configure(Rijndael, unhex(t, nistKey), Config{Unroll: u})
+		if err != nil {
+			t.Fatal(err)
 		}
+		f(t, fmt.Sprintf("unroll %d", u), d)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package farm scales the COBRA reproduction beyond a single device: it
 // runs a pool of independently configured core.Device replicas — each
-// device drives its own sim.Machine, which is not safe for concurrent use
+// device drives its own executors, which are not safe for concurrent use
 // — and shards non-feedback workloads across them. The paper's Table 1
 // splits modes of operation into feedback and non-feedback precisely
 // because the latter admit this replication: in counter mode every
@@ -49,14 +49,29 @@ import (
 // ErrClosed is returned by cipher calls made after Close.
 var ErrClosed = errors.New("farm: closed")
 
-// defaultShardBlocks caps a shard at this many 128-bit blocks. Large
+// ShardBlocks caps a shard at this many 128-bit blocks. Large
 // messages therefore split into several jobs per worker, which keeps the
 // queue busy (pipelining across shards) at the cost of one pipeline
 // fill-and-drain per shard on streaming configurations. That cost is in
 // simulated cycles only: the fastpath runs a shard's blocks through its
 // trace's batch form, each once, so its host time does not pay the fill
 // and drain.
-const defaultShardBlocks = 1024
+const ShardBlocks = 1024
+
+// Split is the farm's shard rule: it splits a call of n blocks over w
+// workers into shards of one size, the last one short — one shard per
+// worker, unless that size exceeds maxBlocks, which then caps it. It
+// returns the shard sizes in blocks. A Farm splits every sharded call by
+// it, under ShardBlocks, and the scheduler study (internal/bench) prices
+// its calls by it.
+func Split(n, w, maxBlocks int) []int {
+	per := min((n+w-1)/w, maxBlocks)
+	var sizes []int
+	for ; n > 0; n -= per {
+		sizes = append(sizes, min(per, n))
+	}
+	return sizes
+}
 
 // WorkerQueueDepth is the per-worker queue capacity; dispatch blocks
 // (backpressure) once a worker is this many shards behind.
@@ -136,10 +151,9 @@ type Farm struct {
 	img *core.Image // what every worker loads for this tenant
 	pk  progKey
 
-	mhz      float64
-	unroll   int
-	rows     int
-	fastpath bool
+	mhz    float64
+	unroll int
+	rows   int
 
 	reg *obs.Registry
 	met *farmMetrics
@@ -189,11 +203,9 @@ func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, err
 			alg:      alg,
 			unroll:   cfg.Unroll,
 			key:      string(key),
-			interp:   cfg.Interpreter,
 			validate: cfg.Validate,
 		},
-		fastpath: probe.UsesFastpath(),
-		slots:    make([]tenantSlot, len(p.workers)),
+		slots: make([]tenantSlot, len(p.workers)),
 	}
 	r := probe.Report()
 	f.mhz, f.unroll, f.rows = r.DatapathMHz, r.Unroll, r.Rows
@@ -249,11 +261,6 @@ func (f *Farm) QueueDepth() int { return f.pool.QueueDepth() }
 // QueueCapacity reports the saturation point of QueueDepth.
 func (f *Farm) QueueCapacity() int { return f.pool.QueueCapacity() }
 
-// UsesFastpath reports whether this tenant's program serves bulk
-// encryption on the trace-compiled executor (probed at Open; the
-// workers are replicas, so one answer covers the pool).
-func (f *Farm) UsesFastpath() bool { return f.fastpath }
-
 // account records one finished job's contribution to this tenant's
 // report. Called from worker goroutines.
 func (f *Farm) account(idx int, st sim.Stats, busyNs int64) {
@@ -268,22 +275,17 @@ func (f *Farm) account(idx int, st sim.Stats, busyNs int64) {
 // span is a half-open byte range of one shard.
 type span struct{ off, end int }
 
-// shards splits n bytes into contiguous block-aligned spans: one per
-// worker when the message is small, capped at the pool's shardBlocks so
-// large messages pipeline through the queues.
+// shards splits n bytes into contiguous block-aligned spans by Split,
+// capped at the pool's shardBlocks; a trailing partial block rides in
+// the last span.
 func (f *Farm) shards(n int) []span {
-	nb := (n + 15) / 16
-	per := (nb + f.pool.Workers() - 1) / f.pool.Workers()
-	if per > f.pool.shardBlocks {
-		per = f.pool.shardBlocks
-	}
-	var out []span
-	for off := 0; off < n; off += per * 16 {
-		end := off + per*16
-		if end > n {
-			end = n
-		}
-		out = append(out, span{off, end})
+	sizes := Split((n+15)/16, f.pool.Workers(), f.pool.shardBlocks)
+	out := make([]span, len(sizes))
+	off := 0
+	for i, b := range sizes {
+		end := min(off+16*b, n)
+		out[i] = span{off, end}
+		off = end
 	}
 	return out
 }

@@ -1,13 +1,12 @@
 package farm
 
-// Fastpath regression for the farm: worker devices default to the
-// trace-compiled executor (core.Config{}.Interpreter == false), so the
-// pool's concurrency contract must hold with compiled traces in the
-// loop, and a fastpath farm must be observationally identical to an
-// interpreter farm — same bytes, same aggregate counters. Run with
-// `go test -race ./internal/farm/...` (CI does): a compiled trace shared
-// between two goroutines would trip the detector on the executor's
-// mutable register file.
+// Fastpath regression for the farm: every worker device runs compiled
+// traces, so the pool's concurrency contract must hold with compiled
+// traces in the loop, and a farm must be observationally identical to the
+// references — the host cipher's bytes and the interpreter's counters.
+// Run with `go test -race ./internal/farm/...` (CI does): a compiled
+// trace shared between two goroutines would trip the detector on the
+// executor's mutable register file.
 
 import (
 	"bytes"
@@ -16,23 +15,16 @@ import (
 	"sync"
 	"testing"
 
+	"cobra/internal/bits"
 	"cobra/internal/core"
+	"cobra/internal/program"
+	"cobra/internal/sim"
 )
 
-// TestFarmFastpathDevicesUnderRace hammers a fastpath-device pool from
-// many goroutines across both sharded modes, with every ciphertext
-// verified against the host reference cipher. The probe device pins that
-// the farm's configuration actually compiles a trace — if compilation
-// ever started refusing, this test would silently regress to exercising
-// the interpreter.
+// TestFarmFastpathDevicesUnderRace hammers a pool from many goroutines
+// across both sharded modes, with every ciphertext verified against the
+// host reference cipher.
 func TestFarmFastpathDevicesUnderRace(t *testing.T) {
-	probe, err := core.Configure(core.RC6, key, core.Config{Unroll: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probe.UsesFastpath() {
-		t.Fatalf("farm worker config does not compile a trace: %v", probe.FastpathErr())
-	}
 	f := openFarm(t, 3, core.RC6, core.Config{Unroll: 2})
 	ref := reference(t, core.RC6)
 
@@ -79,69 +71,107 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 	}
 }
 
-// TestFarmFastpathMatchesInterpreterFarm runs the same deterministic
-// workload, in both directions, through a fastpath farm and a
-// forced-interpreter farm and requires identical output and identical
-// aggregate counters. A single caller keeps the round-robin shard
-// assignment deterministic, so each worker pair sees the same call
-// sequence and the per-call stats equivalence proven in internal/fastpath
-// must survive aggregation.
+// TestFarmFastpathMatchesInterpreterFarm runs a deterministic workload,
+// in both directions, through a 3-worker farm and holds it to the
+// references themselves: every output to the host cipher, and the farm's
+// aggregate counters to the interpreter. A fault hook records each
+// worker's calls, and each worker's sequence is replayed through
+// program.Run on machines of its own, one per direction, so the per-call
+// stats equivalence proven in internal/fastpath must survive sharding and
+// aggregation. The replay feeds zero blocks: a program's control, and so
+// its counters, do not depend on the data (§3.4).
 func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
-	fast := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2})
-	interp := openFarm(t, 3, core.Rijndael, core.Config{Unroll: 2, Interpreter: true})
+	const unroll = 2
+	f := openFarm(t, 3, core.Rijndael, core.Config{Unroll: unroll})
+	type call struct {
+		decrypt bool
+		blocks  int
+	}
+	calls := make([][]call, len(f.pool.workers))
+	for _, w := range f.pool.workers {
+		w.fault = func(j *job) error {
+			dec := j.mode == modeDecECB || j.mode == modeDecCBC
+			calls[w.idx] = append(calls[w.idx], call{dec, (len(j.src) + 15) / 16})
+			return nil
+		}
+	}
 
+	ctx := context.Background()
+	ref := reference(t, core.Rijndael)
 	iv := bytes.Repeat([]byte{0x5c}, 16)
 	for i, n := range []int{16, 16 * 7, 16*64 + 5, 16 * 200, 3} {
 		msg := testMessage(n)
-		wantCTR, err := interp.EncryptCTR(context.Background(), iv, msg)
+		got, err := f.EncryptCTR(ctx, iv, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotCTR, err := fast.EncryptCTR(context.Background(), iv, msg)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, refCTR(t, ref, iv, msg)) {
+			t.Fatalf("call %d: CTR ciphertext differs from the host reference", i)
 		}
-		if !bytes.Equal(gotCTR, wantCTR) {
-			t.Fatalf("call %d: CTR ciphertext diverges between farm engines", i)
+		if n%16 != 0 {
+			continue
 		}
-		if n%16 == 0 {
-			wantECB, err := interp.EncryptECB(context.Background(), msg)
+		wantECB, wantDec := make([]byte, n), make([]byte, n)
+		for off := 0; off < n; off += 16 {
+			ref.Encrypt(wantECB[off:], msg[off:])
+			ref.Decrypt(wantDec[off:], msg[off:])
+		}
+		for _, c := range []struct {
+			name string
+			call func() ([]byte, error)
+			want []byte
+		}{
+			{"ECB", func() ([]byte, error) { return f.EncryptECB(ctx, msg) }, wantECB},
+			{"ECB decryption", func() ([]byte, error) { return f.DecryptECB(ctx, msg) }, wantDec},
+			{"CBC decryption", func() ([]byte, error) { return f.DecryptCBC(ctx, iv, msg) }, refDecryptCBC(ref, iv, msg)},
+		} {
+			got, err := c.call()
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotECB, err := fast.EncryptECB(context.Background(), msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotECB, wantECB) {
-				t.Fatalf("call %d: ECB ciphertext diverges between farm engines", i)
-			}
-			for _, dec := range []struct {
-				name string
-				call func(f *Farm) ([]byte, error)
-			}{
-				{"ECB", func(f *Farm) ([]byte, error) { return f.DecryptECB(context.Background(), msg) }},
-				{"CBC", func(f *Farm) ([]byte, error) { return f.DecryptCBC(context.Background(), iv, msg) }},
-			} {
-				want, err := dec.call(interp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := dec.call(fast)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("call %d: %s plaintext diverges between farm engines", i, dec.name)
-				}
+			if !bytes.Equal(got, c.want) {
+				t.Fatalf("call %d: %s differs from the host reference", i, c.name)
 			}
 		}
 	}
-	fr, ir := fast.Report(), interp.Report()
-	if fr.Stats != ir.Stats {
-		t.Fatalf("aggregate stats diverge:\nfastpath    %+v\ninterpreter %+v", fr.Stats, ir.Stats)
+
+	s, err := program.Lookup(string(core.Rijndael))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fr.Stats.BlocksOut == 0 {
+	var want sim.Stats
+	for _, seq := range calls {
+		var progs [2]*program.Program
+		var machines [2]*sim.Machine
+		for _, c := range seq {
+			k, build := 0, s.Build
+			if c.decrypt {
+				k, build = 1, s.BuildDecrypt
+			}
+			if machines[k] == nil {
+				if progs[k], err = build(key, unroll); err != nil {
+					t.Fatal(err)
+				}
+				if machines[k], err = program.NewMachine(progs[k]); err != nil {
+					t.Fatal(err)
+				}
+				if err := program.Load(machines[k], progs[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blocks := make([]bits.Block128, c.blocks)
+			st, err := program.Run(machines[k], progs[k], blocks, blocks, program.Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Add(st)
+		}
+	}
+	got := f.Report().Stats
+	if got != want {
+		t.Fatalf("aggregate stats diverge:\nfarm        %+v\ninterpreter %+v", got, want)
+	}
+	if got.BlocksOut == 0 {
 		t.Fatal("no blocks recorded")
 	}
 }

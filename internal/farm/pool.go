@@ -1,7 +1,7 @@
 // The worker pool and its program-aware scheduler.
 //
 // A Pool owns N workers, each the exclusive driver of one core.Device
-// (a sim.Machine is single-threaded silicon). Tenants — Farm values
+// (a device is single-threaded silicon). Tenants — Farm values
 // opened on the pool — dispatch shards into per-worker run queues
 // through a Placer (placer.go) that knows which program each worker is
 // bound to. Reconfiguring a device is the expensive operation in this
@@ -9,7 +9,7 @@
 // the tenant's microcode and pays its configuration phase, simulated
 // cycles the paper's agility story counts. On the host a switch is
 // cheap — the worker loads the image its tenant compiled once at Open
-// (core.Image), restoring the phase the image recorded rather than
+// (core.Image), counting the phase the image recorded rather than
 // compiling or simulating anything — but the simulated phase remains,
 // so the scheduler's whole job is to amortize it: keep each
 // worker on its bound program as long as there is same-program work,
@@ -39,7 +39,6 @@ type progKey struct {
 	alg      core.Algorithm
 	unroll   int
 	key      string
-	interp   bool
 	validate bool
 }
 
@@ -107,8 +106,8 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 // Pool is a set of workers shared by any number of tenants (Farms).
 // Every method is safe for concurrent use.
 type Pool struct {
-	// shardBlocks caps a shard's size in blocks: defaultShardBlocks,
-	// which tests shrink to force many shard boundaries.
+	// shardBlocks caps a shard's size in blocks: ShardBlocks, which
+	// tests shrink to force many shard boundaries.
 	shardBlocks int
 
 	reg *obs.Registry
@@ -144,7 +143,7 @@ func NewPool(workers int) (*Pool, error) {
 		return nil, fmt.Errorf("farm: need at least 1 worker, got %d", workers)
 	}
 	p := &Pool{
-		shardBlocks: defaultShardBlocks,
+		shardBlocks: ShardBlocks,
 		reg:         obs.NewRegistry(obs.L("backend", "farm")),
 		space:       make(chan struct{}),
 		closeCh:     make(chan struct{}),
@@ -267,8 +266,7 @@ func (p *Pool) signalSpaceLocked() {
 // The job's error is sent only after the worker has returned to the idle
 // state under mu, so a single sequential caller observes deterministic
 // placement (by the time dispatch returns, every worker it used is idle
-// again) — the fastpath-vs-interpreter aggregate-stats equality test
-// relies on this.
+// again).
 func (p *Pool) runWorker(w *worker) {
 	defer p.wg.Done()
 	for {
@@ -315,19 +313,18 @@ func (p *Pool) execute(w *worker, j *job) error {
 	}
 	var st sim.Stats
 	if err == nil {
-		if err = p.ensure(w, j.tn); err == nil {
-			switch j.mode {
-			case modeCTR:
-				st, err = w.dev.EncryptCTRInto(j.ctx, j.dst, j.iv[:], j.src)
-			case modeECB:
-				st, err = w.dev.EncryptECBInto(j.ctx, j.dst, j.src)
-			case modeCBC:
-				st, err = w.dev.EncryptCBCInto(j.ctx, j.dst, j.iv[:], j.src)
-			case modeDecECB:
-				st, err = w.dev.DecryptECBInto(j.ctx, j.dst, j.src)
-			case modeDecCBC:
-				st, err = w.dev.DecryptCBCInto(j.ctx, j.dst, j.iv[:], j.src)
-			}
+		p.ensure(w, j.tn)
+		switch j.mode {
+		case modeCTR:
+			st, err = w.dev.EncryptCTRInto(j.ctx, j.dst, j.iv[:], j.src)
+		case modeECB:
+			st, err = w.dev.EncryptECBInto(j.ctx, j.dst, j.src)
+		case modeCBC:
+			st, err = w.dev.EncryptCBCInto(j.ctx, j.dst, j.iv[:], j.src)
+		case modeDecECB:
+			st, err = w.dev.DecryptECBInto(j.ctx, j.dst, j.src)
+		case modeDecCBC:
+			st, err = w.dev.DecryptCBCInto(j.ctx, j.dst, j.iv[:], j.src)
 		}
 	}
 	busy := time.Since(t0).Nanoseconds()
@@ -343,33 +340,23 @@ func (p *Pool) execute(w *worker, j *job) error {
 // ensure makes the worker's device hold the tenant's program, loading
 // the tenant's image on a new device (first job on this worker) or on
 // the worker's device (a reconfiguration) as needed. Either way the
-// image's recorded configuration phase is restored and counted, and
-// nothing is compiled. Runs on the worker goroutine.
-func (p *Pool) ensure(w *worker, tn *Farm) error {
+// image's recorded configuration phase is counted, and nothing is
+// compiled or simulated. Runs on the worker goroutine.
+func (p *Pool) ensure(w *worker, tn *Farm) {
 	if w.dev != nil && w.loadedSet && w.loaded == tn.pk {
 		p.met.affinity.Inc()
-		return nil
+		return
 	}
 	if w.dev == nil {
-		dev, err := core.NewDevice(tn.img)
-		if err != nil {
-			return err
-		}
-		w.dev = dev
-		p.reg.Attach(dev.Obs(), obs.L("worker", strconv.Itoa(w.idx)))
+		w.dev = core.NewDevice(tn.img)
+		p.reg.Attach(w.dev.Obs(), obs.L("worker", strconv.Itoa(w.idx)))
 	} else {
 		p.met.reconfigs.Inc()
-		if err := w.dev.Load(tn.img); err != nil {
-			p.mu.Lock()
-			w.loadedSet = false
-			p.mu.Unlock()
-			return err
-		}
+		w.dev.Load(tn.img)
 	}
 	p.mu.Lock()
 	w.loaded, w.loadedSet = tn.pk, true
 	p.mu.Unlock()
-	return nil
 }
 
 // Close drains the queues and stops the workers. Dispatches already

@@ -15,8 +15,8 @@ import (
 // proves the recorded cycle stream periodic, compiles it into a flat
 // per-cycle op-list, and self-checks the result against the recording
 // before returning it. A program whose bulk phase is not a fixed-period
-// configuration schedule returns an error wrapping ErrNotSteady; callers
-// fall back to the interpreter.
+// configuration schedule returns an error wrapping ErrNotSteady (see
+// there).
 func Compile(src Source) (*Exec, error) {
 	rec, err := record(src)
 	if err != nil {

@@ -288,30 +288,23 @@ func TestDifferentialAliasing(t *testing.T) {
 	}
 }
 
-// TestDeviceReconfigureInterleaved drives two core devices — fastpath and
-// forced-interpreter — through interleaved bulk encryptions and
-// reconfigurations across all three algorithms, requiring identical bytes
-// and identical accumulated counters throughout. This is the §1
-// algorithm-agility scenario with the executor being torn down and
-// recompiled under the caller's feet.
+// TestDeviceReconfigureInterleaved drives a core device through
+// interleaved bulk encryptions and reconfigurations across all three
+// algorithms, against an interpreter running the same program (rebuilt
+// with every reconfiguration), requiring identical bytes and identical
+// per-call counters throughout. This is the §1 algorithm-agility scenario
+// with the executor being torn down and recompiled under the caller's
+// feet.
 func TestDeviceReconfigureInterleaved(t *testing.T) {
 	key1 := []byte("{fastpath-key-1}")
 	key2 := []byte("[fastpath-key-2]")
-	fast, err := core.Configure(core.RC6, key1, core.Config{Unroll: 1})
+	d, err := core.Configure(core.RC6, key1, core.Config{Unroll: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := core.Configure(core.RC6, key1, core.Config{Unroll: 1, Interpreter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.UsesFastpath() {
-		t.Fatalf("fastpath refused: %v", fast.FastpathErr())
-	}
-	if interp.UsesFastpath() {
-		t.Fatal("Interpreter config compiled a trace")
-	}
+	ref := newInterpreter(t, core.RC6, key1, 1)
 
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	iv := make([]byte, 16)
 	rng.Read(iv)
@@ -320,53 +313,46 @@ func TestDeviceReconfigureInterleaved(t *testing.T) {
 		n := 16 * (1 + rng.Intn(6))
 		src := make([]byte, n)
 		rng.Read(src)
-		wantECB, err := interp.EncryptECB(context.Background(), src)
-		if err != nil {
-			t.Fatalf("%s: interpreter ECB: %v", step, err)
-		}
-		gotECB, err := fast.EncryptECB(context.Background(), src)
-		if err != nil {
-			t.Fatalf("%s: fastpath ECB: %v", step, err)
-		}
-		if !bytes.Equal(gotECB, wantECB) {
-			t.Fatalf("%s: ECB ciphertext diverges", step)
-		}
-		wantCTR, err := interp.EncryptCTR(context.Background(), iv, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCTR, err := fast.EncryptCTR(context.Background(), iv, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotCTR, wantCTR) {
-			t.Fatalf("%s: CTR ciphertext diverges", step)
-		}
-		if fr, ir := fast.Report(), interp.Report(); fr.Stats != ir.Stats {
-			t.Fatalf("%s: accumulated stats diverge:\nfastpath    %+v\ninterpreter %+v", step, fr.Stats, ir.Stats)
+		for _, mode := range []struct {
+			name string
+			call func(e encrypter, dst []byte) (sim.Stats, error)
+		}{
+			{"ECB", func(e encrypter, dst []byte) (sim.Stats, error) { return e.EncryptECBInto(ctx, dst, src) }},
+			{"CTR", func(e encrypter, dst []byte) (sim.Stats, error) { return e.EncryptCTRInto(ctx, dst, iv, src) }},
+		} {
+			want, got := make([]byte, n), make([]byte, n)
+			wantSt, err := mode.call(ref, want)
+			if err != nil {
+				t.Fatalf("%s: interpreter %s: %v", step, mode.name, err)
+			}
+			gotSt, err := mode.call(d, got)
+			if err != nil {
+				t.Fatalf("%s: fastpath %s: %v", step, mode.name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s ciphertext diverges", step, mode.name)
+			}
+			if gotSt != wantSt {
+				t.Fatalf("%s: %s stats diverge:\nfastpath    %+v\ninterpreter %+v", step, mode.name, gotSt, wantSt)
+			}
 		}
 	}
 
 	check("rc6-unroll1")
 	for _, step := range []struct {
-		alg core.Algorithm
-		key []byte
-		cfg core.Config
+		alg    core.Algorithm
+		key    []byte
+		unroll int
 	}{
-		{core.Rijndael, key2, core.Config{Unroll: 2}},
-		{core.Serpent, key1, core.Config{}}, // full unroll: streaming
-		{core.RC6, key2, core.Config{}},
-		{core.Rijndael, key1, core.Config{Unroll: 5}},
+		{core.Rijndael, key2, 2},
+		{core.Serpent, key1, 0}, // full unroll: streaming
+		{core.RC6, key2, 0},
+		{core.Rijndael, key1, 5},
 	} {
-		if err := fast.Reconfigure(step.alg, step.key, step.cfg); err != nil {
+		if err := d.Reconfigure(step.alg, step.key, core.Config{Unroll: step.unroll}); err != nil {
 			t.Fatal(err)
 		}
-		if err := interp.Reconfigure(step.alg, step.key, core.Config{Unroll: step.cfg.Unroll, Interpreter: true}); err != nil {
-			t.Fatal(err)
-		}
-		if !fast.UsesFastpath() {
-			t.Fatalf("%s/%d: fastpath refused after reconfigure: %v", step.alg, step.cfg.Unroll, fast.FastpathErr())
-		}
-		check(fmt.Sprintf("%s-unroll%d", step.alg, step.cfg.Unroll))
+		ref = newInterpreter(t, step.alg, step.key, step.unroll)
+		check(fmt.Sprintf("%s-unroll%d", step.alg, step.unroll))
 	}
 }

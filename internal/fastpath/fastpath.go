@@ -25,8 +25,9 @@
 //
 // Programs that break the preconditions — eRAM writes, LUT loads or capture
 // ports active during bulk encryption, key-request handshakes, aperiodic
-// output cadence — are refused by Compile; callers run them on the
-// interpreter, as core.Device does for a direction without a trace. As a
+// output cadence — are refused by Compile; they run only on the
+// interpreter, and core.Device, which has no other engine, refuses to
+// configure them. No program the cipher registry builds is refused. As a
 // final guard, Compile replays the recorded inputs through the freshly
 // compiled trace, on the whole array and on its batch form (below), and
 // requires bit-identical outputs and counters before returning it.
@@ -91,8 +92,9 @@ import (
 
 // ErrNotSteady reports that a program cannot be trace-compiled: its bulk
 // encryption phase is not a fixed-period configuration schedule (or it
-// performs state writes the compiled trace cannot replay). Callers fall
-// back to the cycle-accurate interpreter.
+// performs state writes the compiled trace cannot replay). Such a program
+// runs only on the cycle-accurate interpreter (program.Run); core.Device
+// refuses to configure it.
 var ErrNotSteady = errors.New("fastpath: program is not steady-state compilable")
 
 // Source is the program handoff from package program (fastpath cannot

@@ -14,7 +14,8 @@ import (
 // fastpath). Programs whose bulk phase cannot be proven steady-state —
 // key-request handshakes, eRAM/LUT writes during encryption, aperiodic
 // output cadence, or any Error-severity cobravet finding — return an error
-// wrapping fastpath.ErrNotSteady; callers keep using the interpreter.
+// wrapping fastpath.ErrNotSteady and run only on the interpreter (Run);
+// core.Device refuses to configure them.
 func (p *Program) Compile() (*fastpath.Exec, error) { return p.CompileFrom(nil) }
 
 // CompileFrom is Compile with the trace recorder starting from rec, the

@@ -20,7 +20,7 @@ import (
 // configuration, not once per connection. A farm backend's workers then
 // load that image on every switch to the tenant, counting the
 // configuration phase the paper's algorithm-agility story amortizes
-// (restored from the image's recording), but no compile.
+// (recorded once in the image), but no compile.
 type backendKey struct {
 	alg    core.Algorithm
 	unroll int
@@ -63,10 +63,9 @@ type backend struct {
 	// under a config label while the backend is cached.
 	reg *obs.Registry
 	// shape for CONFIGURE acks.
-	workers  int
-	rows     int
-	unroll   int
-	fastpath bool
+	workers int
+	rows    int
+	unroll  int
 
 	// gate bounds concurrent requests: sem holds the executing requests
 	// (capacity 1 for a device, which is single-goroutine by contract),

@@ -31,16 +31,25 @@ func waitGoroutines(t *testing.T, max int, deadline time.Duration) {
 	}
 }
 
+// sumSeries sums every sample of one metric family on the server's
+// registry, attached subtrees included.
+func sumSeries(s *serve.Server, name string) int64 {
+	var n int64
+	for _, smp := range s.Obs().Gather() {
+		if smp.Name == name {
+			n += smp.Value
+		}
+	}
+	return n
+}
+
 // TestServeClientDisconnectMidRequest pins the cancellation contract: a
 // client that vanishes mid-bulk-request must not leak goroutines, must
 // release its backend to the LRU, and must not corrupt the next
-// tenant's stream.
+// tenant's stream. The request is cut short, not finished first: the
+// workers skip its queued shards and count each as a worker error.
 func TestServeClientDisconnectMidRequest(t *testing.T) {
-	s := startServer(t, serve.Options{
-		Backend:     "farm",
-		Workers:     2,
-		Interpreter: true, // slow path: the request is still running when the client dies
-	})
+	s := startServer(t, serve.Options{Backend: "farm", Workers: 2})
 	key := keyN(5)
 	blk := refBlock(t, "rc6", key)
 	cfg := client.Config{Tenant: "ghost", Alg: "rc6", Key: key, Unroll: 1}
@@ -63,10 +72,11 @@ func TestServeClientDisconnectMidRequest(t *testing.T) {
 	// baseline the leak check compares against.
 	time.Sleep(50 * time.Millisecond)
 	baseline := runtime.NumGoroutine()
+	skipped := sumSeries(s, "cobra_farm_worker_errors_total")
 
-	// The ghost session: handshake, configure, fire a bulk request the
-	// interpreter will chew on for hundreds of milliseconds — and hang
-	// up without reading the response.
+	// The ghost session: handshake, configure, fire a bulk request of
+	// 64,000 blocks, about 63 shards that rc6-1's trace runs in some
+	// 150 ms on two workers — and hang up without reading the response.
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +100,7 @@ func TestServeClientDisconnectMidRequest(t *testing.T) {
 	if resp := rt(serve.Frame{Type: serve.FrameConfigure, Payload: creq.Encode()}); resp.Type != serve.FrameConfigure {
 		t.Fatalf("configure: %v", resp.Type)
 	}
-	bulk := serve.CipherReq{Mode: serve.ModeCTR, IV: testIV, Data: testMessage(4096 * 16)}
+	bulk := serve.CipherReq{Mode: serve.ModeCTR, IV: testIV, Data: testMessage(64000 * 16)}
 	if err := serve.WriteFrame(conn, serve.Frame{Type: serve.FrameEncrypt, Payload: bulk.Encode()}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +110,11 @@ func TestServeClientDisconnectMidRequest(t *testing.T) {
 	// context, the farm abandons the remaining shards, and every
 	// session goroutine exits: back to baseline.
 	waitGoroutines(t, baseline, 15*time.Second)
+	skipped = sumSeries(s, "cobra_farm_worker_errors_total") - skipped
+	if skipped == 0 {
+		t.Fatal("no shard was skipped: the request finished before the hang-up cancelled it")
+	}
+	t.Logf("the hang-up skipped %d shards", skipped)
 
 	// The backend went back to the LRU (CacheHit), and a fresh tenant's
 	// stream is untouched by the aborted work.

@@ -519,8 +519,9 @@ type ConfigureAck struct {
 	// Rows/Unroll are the configured array geometry (Table 3 shape).
 	Rows   uint16
 	Unroll uint16
-	// Fastpath reports whether bulk requests run on the trace-compiled
-	// executor.
+	// Fastpath is always true: every bulk request runs on the
+	// trace-compiled executor. The byte stays on the wire so that
+	// existing clients still decode the ack.
 	Fastpath bool
 	// CacheHit reports whether the configuration reused an
 	// already-configured backend from the server's LRU (no

@@ -44,10 +44,6 @@ type Options struct {
 	// MaxFrame is the advertised payload-size ceiling in bytes
 	// (default DefaultMaxFrame, clamped to AbsMaxFrame).
 	MaxFrame uint32
-	// Interpreter forces the cycle-accurate interpreter (no fastpath) —
-	// the comparison/debugging path, and what the cancellation tests
-	// use to make requests slow enough to abandon mid-flight.
-	Interpreter bool
 	// Metrics, when non-nil, is the parent registry the server's own
 	// registry attaches to (obs.Default in cobrad). Nil keeps it
 	// detached — hermetic, the right default for tests.
@@ -178,7 +174,7 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 // amortize. A farm backend's workers load that image on every switch to
 // the pair; none of them compiles it again.
 func (s *Server) buildBackend(k backendKey, e *backend) error {
-	cfg := core.Config{Unroll: k.unroll, Interpreter: s.opts.Interpreter}
+	cfg := core.Config{Unroll: k.unroll}
 	switch s.opts.Backend {
 	case "farm":
 		f, err := s.pool.Open(k.alg, []byte(k.key), cfg)
@@ -189,7 +185,6 @@ func (s *Server) buildBackend(k backendKey, e *backend) error {
 		e.cipher, e.closer, e.reg = f, f.Close, f.Obs()
 		e.queueDepth, e.queueCap = f.QueueDepth, f.QueueCapacity()
 		e.workers, e.rows, e.unroll = f.Workers(), sum.Rows, sum.Unroll
-		e.fastpath = f.UsesFastpath()
 	default:
 		d, err := core.Configure(k.alg, []byte(k.key), cfg)
 		if err != nil {
@@ -198,12 +193,11 @@ func (s *Server) buildBackend(k backendKey, e *backend) error {
 		sum := d.Summary()
 		e.cipher, e.reg = d, d.Obs()
 		e.workers, e.rows, e.unroll = 1, sum.Rows, sum.Unroll
-		e.fastpath = d.UsesFastpath()
 	}
 	e.sem = make(chan struct{}, s.opts.MaxInflight)
 	e.maxWaiters = int64(s.opts.MaxWaiters)
-	s.opts.Logf("serve: configured backend %s (%s, workers=%d, fastpath=%v)",
-		e.key.fingerprint(), s.opts.Backend, e.workers, e.fastpath)
+	s.opts.Logf("serve: configured backend %s (%s, workers=%d)",
+		e.key.fingerprint(), s.opts.Backend, e.workers)
 	return nil
 }
 
@@ -481,7 +475,7 @@ func (s *Server) handleConfigure(sess *session, f Frame) bool {
 		Workers:  uint16(b.workers),
 		Rows:     uint16(b.rows),
 		Unroll:   uint16(b.unroll),
-		Fastpath: b.fastpath,
+		Fastpath: true,
 		CacheHit: hit,
 	}
 	return sess.write(Frame{Type: FrameConfigure, Payload: ack.Encode()})

@@ -447,17 +447,16 @@ func TestServeSequenceAndVersionErrors(t *testing.T) {
 // retry succeeds once load passes.
 func TestServeBusyShedAndRecovery(t *testing.T) {
 	s := startServer(t, serve.Options{
-		Backend:     "device",
-		Interpreter: true, // slow path: requests dwell long enough to collide
-		MaxWaiters:  1,    // 1 executing + 1 queued; the rest shed
+		Backend:    "device",
+		MaxWaiters: 1, // 1 executing + 1 queued; the rest shed
 	})
 	const clients = 8
 	key := keyN(3)
 	blk := refBlock(t, "rc6", key)
-	// Long enough (tens of ms on the interpreter) that the goroutine
-	// scheduler preempts a request mid-execution even on one CPU, so
-	// concurrent sessions genuinely collide at the admission gate.
-	msg := testMessage(512 * 16)
+	// Long enough (8,192 blocks: tens of ms on rc6-1's trace) that the
+	// goroutine scheduler preempts a request mid-execution even on one
+	// CPU, so concurrent sessions genuinely collide at the admission gate.
+	msg := testMessage(8192 * 16)
 	want := refECB(blk, msg)
 
 	conns := make([]*client.Client, clients)
@@ -645,7 +644,7 @@ func TestServeStatsAndMetrics(t *testing.T) {
 // correct response; only then is the session told CodeDraining; and new
 // connections are refused with CodeDraining.
 func TestServeDrainInFlightCompletes(t *testing.T) {
-	s, err := serve.NewServer(serve.Options{Backend: "device", Interpreter: true})
+	s, err := serve.NewServer(serve.Options{Backend: "device"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +662,9 @@ func TestServeDrainInFlightCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	msg := testMessage(512 * 16) // interpreter-slow: still in flight when drain begins
+	// 64,000 blocks, some 300 ms on rc6-1's trace: still in flight when
+	// drain begins.
+	msg := testMessage(64000 * 16)
 	type enc struct {
 		ct  []byte
 		err error

@@ -266,6 +266,11 @@ func NewRecording(m *Machine) (*Recording, error) {
 // Array returns the recorded array, for analysis; it must not be modified.
 func (r *Recording) Array() *datapath.Array { return r.m.Array }
 
+// Observe adds the recorded phase to every series of o, as a Restore onto
+// a machine bound to o counts it: a load that needs no machine counts its
+// configuration phase this way.
+func (r *Recording) Observe(o *Observer) { o.record(r.phase, r.resyncs, r.cfgInstrs) }
+
 // ErrRestoreObserved refuses a Restore onto a machine with Trace or
 // TickHook set: its hooks would not see the configuration phase.
 var ErrRestoreObserved = errors.New("sim: restore onto a machine with a hook set; load it with program.Load")
@@ -304,7 +309,7 @@ func (m *Machine) Restore(rec *Recording) error {
 	m.resyncs += rec.resyncs
 	m.cfgInstrs += rec.cfgInstrs
 	if m.Obs != nil {
-		m.Obs.record(rec.phase, rec.resyncs, rec.cfgInstrs)
+		rec.Observe(m.Obs)
 	}
 	return nil
 }
